@@ -53,7 +53,8 @@ pub struct TsvdConfig {
     /// Lock stripes in the near-miss tracker (keyed by object id; clamped
     /// to `max_tracked_objects` so the object bound still holds).
     pub near_miss_shards: usize,
-    /// Shards in the statistics coverage and per-context delay maps.
+    /// Shards in the statistics per-context delay ledger (coverage is a
+    /// dense lock-free table and needs none).
     pub stats_shards: usize,
 
     // --- Happens-before inference (§3.4.4) ---------------------------------

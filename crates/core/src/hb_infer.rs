@@ -18,14 +18,25 @@
 //! If several delays qualify, the edge is attributed to the most recently
 //! finished one. By transitivity, the next `k_hb` accesses of `Thd2` are also
 //! treated as happening after `loc1`.
+//!
+//! `on_access` runs on every TSVD access, so the per-context state is
+//! lock-striped by context id: threads running different contexts mostly
+//! take different locks. The delay records and the inferred edges share
+//! one lock that an access touches only on a long gap, a new edge, or a
+//! near-miss lookup ([`HbInference::is_inferred`]). Lock order: stripe,
+//! then shared — never the reverse.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use parking_lot::Mutex;
 
+use crate::audit;
 use crate::context::ContextId;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
+
+/// Lock stripes for per-context state.
+const STRIPES: usize = 16;
 
 /// A finished delay injection, kept for causality attribution.
 #[derive(Debug, Clone, Copy)]
@@ -49,17 +60,24 @@ struct ThreadState {
     pending_source: Option<(SiteId, usize)>,
 }
 
-struct Inner {
+/// One stripe of per-context state, on its own cache line so stripes
+/// taken by different threads do not share one.
+#[derive(Default)]
+#[repr(align(64))]
+struct Stripe(Mutex<HashMap<ContextId, ThreadState>>);
+
+#[derive(Default)]
+struct Shared {
     delays: VecDeque<DelayRecord>,
-    threads: HashMap<ContextId, ThreadState>,
     /// All edges inferred so far, as normalized pairs. A pair in this set is
     /// never re-added to the trap set.
-    inferred: std::collections::HashSet<SitePair>,
+    inferred: HashSet<SitePair>,
 }
 
 /// Happens-before inference engine.
 pub struct HbInference {
-    inner: Mutex<Inner>,
+    stripes: Box<[Stripe]>,
+    shared: Mutex<Shared>,
     /// `δ_hb · delay_time` in nanoseconds.
     gap_ns: u64,
     /// `k_hb`.
@@ -73,15 +91,18 @@ impl HbInference {
     /// transitivity window `k_hb`, and delay-record retention.
     pub fn new(gap_ns: u64, transitivity: usize, delay_history: usize) -> Self {
         HbInference {
-            inner: Mutex::new(Inner {
-                delays: VecDeque::new(),
-                threads: HashMap::new(),
-                inferred: std::collections::HashSet::new(),
-            }),
+            stripes: (0..STRIPES).map(|_| Stripe::default()).collect(),
+            shared: Mutex::new(Shared::default()),
             gap_ns,
             transitivity,
             delay_history: delay_history.max(1),
         }
+    }
+
+    fn stripe_of(&self, context: ContextId) -> usize {
+        // Context ids are dense counters: consecutive ids take
+        // consecutive stripes.
+        (context.0 % self.stripes.len() as u64) as usize
     }
 
     /// Records a finished delay so later long gaps can be attributed to it.
@@ -92,12 +113,15 @@ impl HbInference {
     /// delay — otherwise two simultaneously trapped threads would infer a
     /// bogus HB edge between their racy locations and prune the real pair.
     pub fn record_delay(&self, delay: DelayRecord) {
-        let mut inner = self.inner.lock();
-        let state = inner.threads.entry(delay.context).or_default();
-        state.last_access_ns = Some(state.last_access_ns.unwrap_or(0).max(delay.end_ns));
-        inner.delays.push_back(delay);
-        while inner.delays.len() > self.delay_history {
-            inner.delays.pop_front();
+        {
+            let mut threads = self.stripes[self.stripe_of(delay.context)].0.lock();
+            let state = threads.entry(delay.context).or_default();
+            state.last_access_ns = Some(state.last_access_ns.unwrap_or(0).max(delay.end_ns));
+        }
+        let mut shared = self.shared.lock();
+        shared.delays.push_back(delay);
+        while shared.delays.len() > self.delay_history {
+            shared.delays.pop_front();
         }
     }
 
@@ -105,63 +129,65 @@ impl HbInference {
     /// the site pairs newly inferred to be HB-ordered (and therefore to be
     /// pruned from the trap set).
     pub fn on_access(&self, context: ContextId, site: SiteId, now_ns: u64) -> Vec<SitePair> {
-        let mut inner = self.inner.lock();
-        let mut new_pairs = Vec::new();
-
-        let state = inner.threads.entry(context).or_default();
-        let last = state.last_access_ns;
-        state.last_access_ns = Some(now_ns);
+        audit::note_lock();
+        audit::note_shared_write();
+        let mut threads = self.stripes[self.stripe_of(context)].0.lock();
+        let state = threads.entry(context).or_default();
+        let last = state.last_access_ns.replace(now_ns);
 
         // Transitivity: this access inherits a previously inferred source.
-        let mut source_for_this_access: Option<SiteId> = None;
-        if let Some((src, remaining)) = state.pending_source {
-            source_for_this_access = Some(src);
-            state.pending_source = if remaining > 1 {
-                Some((src, remaining - 1))
-            } else {
-                None
-            };
-        }
+        let mut source = state.pending_source.take().map(|(src, remaining)| {
+            if remaining > 1 {
+                state.pending_source = Some((src, remaining - 1));
+            }
+            src
+        });
 
         // Fresh inference: long gap overlapping a finished delay by another
         // context.
         if let Some(t0) = last {
             if now_ns.saturating_sub(t0) >= self.gap_ns && self.gap_ns > 0 {
                 // Attribute to the most recently *finished* qualifying delay.
-                let hit = inner
+                audit::note_lock();
+                let hit = self
+                    .shared
+                    .lock()
                     .delays
                     .iter()
                     .filter(|d| d.context != context)
                     .filter(|d| t0 <= d.end_ns && d.start_ns <= now_ns)
                     .max_by_key(|d| d.end_ns)
-                    .copied();
-                if let Some(d) = hit {
-                    let state = inner.threads.entry(context).or_default();
-                    source_for_this_access = Some(d.site);
+                    .map(|d| d.site);
+                if let Some(src) = hit {
+                    source = Some(src);
                     if self.transitivity > 0 {
-                        state.pending_source = Some((d.site, self.transitivity));
+                        state.pending_source = Some((src, self.transitivity));
                     }
                 }
             }
         }
+        drop(threads);
 
-        if let Some(src) = source_for_this_access {
-            let pair = SitePair::new(src, site);
-            if inner.inferred.insert(pair) {
-                new_pairs.push(pair);
-            }
+        let Some(src) = source else {
+            return Vec::new();
+        };
+        let pair = SitePair::new(src, site);
+        audit::note_lock();
+        if self.shared.lock().inferred.insert(pair) {
+            vec![pair]
+        } else {
+            Vec::new()
         }
-        new_pairs
     }
 
     /// Returns `true` if `pair` has been inferred HB-ordered.
     pub fn is_inferred(&self, pair: SitePair) -> bool {
-        self.inner.lock().inferred.contains(&pair)
+        self.shared.lock().inferred.contains(&pair)
     }
 
     /// Total number of inferred edges (stats).
     pub fn inferred_count(&self) -> usize {
-        self.inner.lock().inferred.len()
+        self.shared.lock().inferred.len()
     }
 }
 
@@ -388,6 +414,60 @@ mod tests {
                 end_ns: i + 1,
             });
         }
-        assert!(e.inner.lock().delays.len() <= 4);
+        assert!(e.shared.lock().delays.len() <= 4);
+    }
+
+    #[test]
+    fn striped_state_stress_infers_only_the_planted_edge() {
+        // Gap 50 µs, k_hb = 0, room for every delay the workers record.
+        let e = HbInference::new(50_000, 0, 1 << 16);
+        let stripes = e.stripes.len() as u64;
+        // Workers: contexts 1 and 1 + stripes share a stripe, 2 and 3 have
+        // their own. The planted context shares a stripe with 1 as well.
+        let workers = [1, 1 + stripes, 2, 3].map(ContextId);
+        let planted = ContextId(1 + 2 * stripes);
+        assert_eq!(e.stripe_of(workers[0]), e.stripe_of(workers[1]));
+        assert_eq!(e.stripe_of(workers[0]), e.stripe_of(planted));
+        assert_ne!(e.stripe_of(workers[0]), e.stripe_of(workers[2]));
+        assert_ne!(e.stripe_of(workers[2]), e.stripe_of(workers[3]));
+
+        let pairs = std::thread::scope(|scope| {
+            for (w, &ctx) in workers.iter().enumerate() {
+                let e = &e;
+                scope.spawn(move || {
+                    let own = site(300 + w as u32);
+                    let mut t = 0u64;
+                    for i in 0..2_000u64 {
+                        // Short gaps only, except each worker's own
+                        // 100 µs delays: those must never mint an edge.
+                        t += 1_000;
+                        assert!(e.on_access(ctx, own, t).is_empty());
+                        if i % 10 == 0 {
+                            e.record_delay(DelayRecord {
+                                site: own,
+                                context: ctx,
+                                start_ns: t,
+                                end_ns: t + 100_000,
+                            });
+                            t += 100_000;
+                        }
+                    }
+                });
+            }
+            // The planted scenario runs far beyond the workers' time range
+            // (they stay below 30 ms), so no worker delay overlaps its gap.
+            let base = ms_to_ns(1_000);
+            let mut found = e.on_access(planted, site(310), base);
+            e.record_delay(DelayRecord {
+                site: site(311),
+                context: ContextId(999),
+                start_ns: base + 1_000,
+                end_ns: base + 101_000,
+            });
+            found.extend(e.on_access(planted, site(312), base + 102_000));
+            found
+        });
+        assert_eq!(pairs, vec![SitePair::new(site(311), site(312))]);
+        assert_eq!(e.inferred_count(), 1, "exactly the planted pair");
     }
 }

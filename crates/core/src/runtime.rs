@@ -36,12 +36,13 @@ pub struct Runtime {
     sink: ReportSink,
     stats: RuntimeStats,
     config: TsvdConfig,
-    /// Phase buffer used only for coverage statistics (the TSVD strategy
-    /// keeps its own for planning).
-    coverage_phase: PhaseBuffer,
-    /// Time-based coverage concurrency estimate for *batched* events (see
+    /// Concurrent-phase inference (§3.4.3) for inline accesses. Its one
+    /// verdict per access feeds both coverage and the strategy.
+    phase: PhaseBuffer,
+    /// The same inference for *batched* events, which arrive in per-thread
+    /// bursts and so are judged by timestamp (see
     /// [`crate::phase::ContextRecency`]).
-    coverage_recency: ContextRecency,
+    recency: ContextRecency,
     /// Single-word quiescence gate read by the batched fast path.
     gate: Arc<HotGate>,
     /// `true` iff `batch_capacity > 0` and the strategy opted in.
@@ -89,13 +90,21 @@ impl Runtime {
         let traps = Arc::new(TrapTable::with_shards(config.trap_shards));
         traps.attach_gate(gate.clone());
         let batching = config.batch_capacity > 0 && strategy.supports_batching();
+        // Two events of different contexts count as concurrent within the
+        // near-miss window; the windowing ablation removes the window here
+        // as it does for near misses.
+        let horizon_ns = if config.enable_windowing {
+            config.near_miss_window_ns
+        } else {
+            u64::MAX
+        };
         Arc::new_cyclic(|weak| Runtime {
             strategy,
             traps,
             sink: ReportSink::new(),
             stats: RuntimeStats::with_shards(config.stats_shards),
-            coverage_phase: PhaseBuffer::new(config.phase_buffer),
-            coverage_recency: ContextRecency::new(config.phase_buffer, config.near_miss_window_ns),
+            phase: PhaseBuffer::new(config.phase_buffer),
+            recency: ContextRecency::new(config.phase_buffer, horizon_ns),
             gate,
             batching,
             weak_self: weak.clone(),
@@ -176,7 +185,7 @@ impl Runtime {
             return;
         }
 
-        let concurrent = self.coverage_phase.record_and_check(access.context);
+        let concurrent = self.phase.record_and_check(access.context);
         self.stats.record_call(site, concurrent);
 
         if self.trace {
@@ -226,7 +235,7 @@ impl Runtime {
         // should_delay: the strategy decides where and when. The strategy
         // always sees the access (near-miss and HB state keep learning),
         // but a degraded runtime never injects the delay.
-        if let Some(delay_ns) = self.strategy.on_access(&access) {
+        if let Some(delay_ns) = self.strategy.on_access_in_phase(&access, concurrent) {
             if self.watchdog.is_degraded() {
                 if self.trace {
                     eprintln!(
@@ -308,21 +317,24 @@ impl Runtime {
         }
     }
 
-    /// Delivers a drained thread-local buffer: coverage and statistics for
-    /// every event, then the strategy's batch replay.
+    /// Delivers a drained thread-local buffer: phase verdict, coverage and
+    /// statistics for every event, then the strategy's batch replay with
+    /// the same verdicts.
     pub(crate) fn apply_batch(&self, events: &[Access], thread_exit: bool) {
         self.stats.record_batch_flush(events.len() as u64);
         if thread_exit {
             self.stats.record_thread_exit_flush();
         }
         self.stats.record_calls_bulk(events.len() as u64);
-        for access in events {
-            let concurrent = self
-                .coverage_recency
-                .note_and_check(access.context, access.time_ns);
-            self.stats.record_coverage(access.site, concurrent);
-        }
-        self.strategy.on_batch(events);
+        let concurrent: Vec<bool> = events
+            .iter()
+            .map(|access| {
+                let concurrent = self.recency.note_and_check(access.context, access.time_ns);
+                self.stats.record_coverage(access.site, concurrent);
+                concurrent
+            })
+            .collect();
+        self.strategy.on_batch(events, &concurrent);
     }
 
     /// The runtime's quiescence gate (read by the batched fast path).
@@ -471,6 +483,7 @@ impl Drop for Runtime {
 mod tests {
     use super::*;
     use crate::clock::ms_to_ns;
+    use crate::near_miss::SitePair;
 
     fn cfg() -> TsvdConfig {
         TsvdConfig::for_testing()
@@ -653,5 +666,118 @@ mod tests {
         });
         assert_eq!(rt.stats().sync_events(), 1);
         assert_eq!(rt.reports().unique_bugs(), 0);
+    }
+
+    fn armed(rt: &Runtime) -> Vec<SitePair> {
+        let data = rt.export_trap_file().expect("tsvd persists state");
+        (0..data.pairs.len())
+            .filter_map(|i| data.pair_at(i))
+            .collect()
+    }
+
+    fn concurrent_hits(rt: &Runtime, site: SiteId) -> u64 {
+        rt.stats()
+            .coverage()
+            .into_iter()
+            .find(|&(s, _)| s == site)
+            .map_or(0, |(_, c)| c.concurrent_hits)
+    }
+
+    /// One stream, two near misses: the first forms after context 2's
+    /// burst has flushed context 1 out of the 4-slot phase ring
+    /// (sequential), the second right after a context switch (concurrent).
+    /// Returns each near miss's pair and the site of the access forming it.
+    fn drive_phase_stream(rt: &Runtime) -> [(SitePair, SiteId); 2] {
+        let (ctx1, ctx2) = (context::fresh_id(), context::fresh_id());
+        let [seq_a, seq_b, filler, con_a, con_b] = [
+            crate::site!(),
+            crate::site!(),
+            crate::site!(),
+            crate::site!(),
+            crate::site!(),
+        ];
+        let call = |ctx, obj, site| {
+            let _g = context::enter(ctx);
+            rt.on_call(ObjId(obj), site, "x.write", OpKind::Write);
+        };
+        call(ctx1, 1, seq_a);
+        for obj in 100..104 {
+            call(ctx2, obj, filler);
+        }
+        call(ctx2, 1, seq_b);
+        call(ctx1, 2, con_a);
+        call(ctx2, 2, con_b);
+        [
+            (SitePair::new(seq_a, seq_b), seq_b),
+            (SitePair::new(con_a, con_b), con_b),
+        ]
+    }
+
+    #[test]
+    fn one_phase_verdict_feeds_coverage_and_arming() {
+        let mut c = cfg();
+        c.phase_buffer = 4;
+        // A preempted test thread must not push a near miss out of window.
+        c.near_miss_window_ns = ms_to_ns(60_000);
+        let rt = Runtime::tsvd(c);
+        let [(seq_pair, seq_site), (con_pair, con_site)] = drive_phase_stream(&rt);
+        assert_eq!(concurrent_hits(&rt, seq_site), 0, "sequential verdict");
+        assert!(!armed(&rt).contains(&seq_pair), "sequential: nothing armed");
+        assert_eq!(concurrent_hits(&rt, con_site), 1, "concurrent verdict");
+        assert!(armed(&rt).contains(&con_pair), "concurrent near miss arms");
+    }
+
+    #[test]
+    fn phase_ablation_arms_on_a_sequential_verdict_coverage_still_reports() {
+        let mut c = cfg();
+        c.phase_buffer = 4;
+        c.near_miss_window_ns = ms_to_ns(60_000);
+        c.enable_phase_detection = false;
+        let rt = Runtime::tsvd(c);
+        let [(seq_pair, seq_site), (con_pair, _)] = drive_phase_stream(&rt);
+        assert_eq!(
+            concurrent_hits(&rt, seq_site),
+            0,
+            "coverage reports the ring's verdict even under the ablation"
+        );
+        assert!(armed(&rt).contains(&seq_pair), "arming ignores the verdict");
+        assert!(armed(&rt).contains(&con_pair));
+    }
+
+    #[test]
+    fn windowing_ablation_batched_verdict_has_no_horizon() {
+        // One verdict serves coverage and arming, so they share one
+        // horizon. The chosen one is the strategy's: unbounded (`u64::MAX`)
+        // under the windowing ablation, the near-miss window otherwise.
+        // Coverage therefore counts far-apart contexts as concurrent under
+        // the ablation, where it used the near-miss window before.
+        let far_apart = |windowing: bool| {
+            let mut c = cfg();
+            c.batch_capacity = 64;
+            c.enable_windowing = windowing;
+            let gap = 1_000 * c.near_miss_window_ns;
+            let rt = Runtime::tsvd(c);
+            assert!(rt.is_batching());
+            let (a, b) = (crate::site!(), crate::site!());
+            let access = |context, site, time_ns| Access {
+                context,
+                obj: ObjId(7),
+                site,
+                op_name: "x.write",
+                kind: OpKind::Write,
+                time_ns,
+            };
+            rt.apply_batch(
+                &[
+                    access(context::fresh_id(), a, 1),
+                    access(context::fresh_id(), b, 1 + gap),
+                ],
+                false,
+            );
+            let pair = SitePair::new(a, b);
+            (concurrent_hits(&rt, b), armed(&rt).contains(&pair))
+        };
+        assert_eq!(far_apart(false), (1, true), "ablation: concurrent, armed");
+        assert_eq!(far_apart(true), (0, false), "window: sequential, unarmed");
     }
 }

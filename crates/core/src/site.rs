@@ -10,13 +10,21 @@
 //! - a stable textual form for the persistent trap file (§3.4.6),
 //! - the ability to re-materialize sites *imported* from a previous run's
 //!   trap file before they are executed in this run.
+//!
+//! Every instrumented wrapper call resolves its `#[track_caller]` location,
+//! so that lookup must not touch shared memory: each thread keeps a small
+//! direct-mapped cache keyed by the `&'static Location` address, and only a
+//! cache miss takes the interner's lock and hashes the file path.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::Location;
 use std::sync::OnceLock;
 
 use parking_lot::RwLock;
+
+use crate::audit;
 
 /// An interned static program location (a TSVD point).
 ///
@@ -69,17 +77,17 @@ impl SiteId {
         SiteId::from_location(loc)
     }
 
-    /// Interns an explicit [`Location`].
+    /// Interns an explicit [`Location`], served from the calling thread's
+    /// site cache after the first visit.
     pub fn from_location(loc: &'static Location<'static>) -> SiteId {
-        Self::intern(SiteData {
-            file: loc.file(),
-            line: loc.line(),
-            column: loc.column(),
-        })
+        // The cache has no destructor, so it is reachable even from other
+        // thread-local destructors.
+        SITE_CACHE.with(|cache| cache.get_or_intern(loc))
     }
 
     /// Interns explicit site data.
     pub fn intern(data: SiteData) -> SiteId {
+        audit::note_lock();
         {
             let guard = interner().read();
             if let Some(&id) = guard.by_data.get(&data) {
@@ -121,6 +129,60 @@ impl SiteId {
     /// Raw index (useful for dense per-site tables).
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The site with raw index `index`, as produced by [`SiteId::index`].
+    pub(crate) fn from_index(index: usize) -> SiteId {
+        SiteId(u32::try_from(index).expect("site index out of range"))
+    }
+}
+
+impl SiteData {
+    fn of(loc: &'static Location<'static>) -> SiteData {
+        SiteData {
+            file: loc.file(),
+            line: loc.line(),
+            column: loc.column(),
+        }
+    }
+}
+
+/// Slots in each thread's site cache (a power of two).
+const SITE_CACHE_SLOTS: usize = 64;
+
+thread_local! {
+    static SITE_CACHE: SiteCache<SITE_CACHE_SLOTS> = const { SiteCache::new() };
+}
+
+/// A direct-mapped cache from `&'static Location` addresses to interned
+/// ids. A slot holds one address and its id; a colliding location simply
+/// replaces it, so the cache can cost a re-intern but never a wrong id.
+/// Address 0 marks an empty slot (no `Location` lives there).
+struct SiteCache<const N: usize> {
+    slots: [Cell<(usize, SiteId)>; N],
+}
+
+impl<const N: usize> SiteCache<N> {
+    const fn new() -> Self {
+        SiteCache {
+            slots: [const { Cell::new((0, SiteId(0))) }; N],
+        }
+    }
+
+    fn slot_of(addr: usize) -> usize {
+        ((addr as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % N
+    }
+
+    fn get_or_intern(&self, loc: &'static Location<'static>) -> SiteId {
+        let addr = loc as *const Location<'static> as usize;
+        let slot = &self.slots[Self::slot_of(addr)];
+        let (cached, id) = slot.get();
+        if cached == addr {
+            return id;
+        }
+        let id = SiteId::intern(SiteData::of(loc));
+        slot.set((addr, id));
+        id
     }
 }
 
@@ -211,6 +273,49 @@ mod tests {
         assert!(SiteId::parse("nocolons").is_none());
         assert!(SiteId::parse("file.rs:notanumber:3").is_none());
         assert!(SiteId::parse("file.rs:3:notanumber").is_none());
+    }
+
+    #[track_caller]
+    fn caller() -> &'static Location<'static> {
+        Location::caller()
+    }
+
+    #[test]
+    fn colliding_locations_keep_their_own_ids() {
+        // A one-slot cache maps every location to the same slot.
+        let cache = SiteCache::<1>::new();
+        let (a, b) = (caller(), caller());
+        let addr = |l: &'static Location<'static>| l as *const Location<'static> as usize;
+        assert_ne!(addr(a), addr(b));
+        assert_eq!(
+            SiteCache::<1>::slot_of(addr(a)),
+            SiteCache::<1>::slot_of(addr(b))
+        );
+        for _ in 0..3 {
+            assert_eq!(cache.get_or_intern(a), SiteId::intern(SiteData::of(a)));
+            assert_eq!(cache.get_or_intern(b), SiteId::intern(SiteData::of(b)));
+        }
+        assert_ne!(cache.get_or_intern(a), cache.get_or_intern(b));
+    }
+
+    #[test]
+    fn cached_ids_equal_interned_ids_on_every_thread() {
+        let locations = [caller(), caller(), caller(), caller(), caller()];
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    // The second pass is served from this thread's cache.
+                    for _ in 0..2 {
+                        for &loc in &locations {
+                            assert_eq!(
+                                SiteId::from_location(loc),
+                                SiteId::intern(SiteData::of(loc))
+                            );
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

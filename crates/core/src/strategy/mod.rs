@@ -85,7 +85,18 @@ pub trait Strategy: Send + Sync {
 
     /// Called on every TSVD point, after the trap check. Returns the delay
     /// to inject right before the access, or `None` to proceed immediately.
+    ///
+    /// Used standalone (without a [`Runtime`](crate::Runtime)), a strategy
+    /// that needs concurrent-phase evidence infers it itself.
     fn on_access(&self, access: &Access) -> Option<u64>;
+
+    /// [`on_access`](Strategy::on_access) with the runtime's
+    /// concurrent-phase verdict for this access (§3.4.3), so phase
+    /// inference runs once per access. The runtime always calls this one.
+    /// Default: ignore the verdict.
+    fn on_access_in_phase(&self, access: &Access, _concurrent: bool) -> Option<u64> {
+        self.on_access(access)
+    }
 
     /// Called after an injected delay finished. `caught` reports whether a
     /// conflicting access collided with the trap during the sleep.
@@ -104,14 +115,17 @@ pub trait Strategy: Send + Sync {
 
     /// Delivers a flushed thread-local buffer of accesses recorded while the
     /// runtime was quiescent (no trap armed, no armed pair), in recording
-    /// order. Delays are never requested for replayed events — by
-    /// construction nothing was armed when they were recorded.
+    /// order, with the runtime's concurrent-phase verdict for each event
+    /// (`concurrent[i]` belongs to `events[i]`). Delays are never requested
+    /// for replayed events — by construction nothing was armed when they
+    /// were recorded.
     ///
-    /// Default: replay through [`on_access`](Strategy::on_access), dropping
-    /// any delay decision.
-    fn on_batch(&self, events: &[Access]) {
-        for access in events {
-            let _ = self.on_access(access);
+    /// Default: replay through
+    /// [`on_access_in_phase`](Strategy::on_access_in_phase), dropping any
+    /// delay decision.
+    fn on_batch(&self, events: &[Access], concurrent: &[bool]) {
+        for (access, &concurrent) in events.iter().zip(concurrent) {
+            let _ = self.on_access_in_phase(access, concurrent);
         }
     }
 

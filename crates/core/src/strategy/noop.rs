@@ -26,7 +26,7 @@ impl Strategy for Noop {
         true
     }
 
-    fn on_batch(&self, _events: &[Access]) {}
+    fn on_batch(&self, _events: &[Access], _concurrent: &[bool]) {}
 }
 
 #[cfg(test)]

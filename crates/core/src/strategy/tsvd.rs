@@ -12,7 +12,7 @@
 //! run (§3.4.6); the trap set additionally persists to a trap file so a
 //! second run can trap pairs on their first occurrence.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -24,7 +24,7 @@ use crate::decay::DecayTable;
 use crate::gate::HotGate;
 use crate::hb_infer::{DelayRecord, HbInference};
 use crate::near_miss::{NearMissTracker, SitePair};
-use crate::phase::{ContextRecency, PhaseBuffer};
+use crate::phase::PhaseBuffer;
 use crate::strategy::Strategy;
 use crate::trap_file::TrapFileData;
 use crate::trapset::TrapSet;
@@ -32,11 +32,11 @@ use crate::trapset::TrapSet;
 /// The TSVD delay-injection strategy.
 pub struct Tsvd {
     near_miss: NearMissTracker,
-    phase: PhaseBuffer,
-    /// Time-based phase estimate for *replayed* (batched) events: a burst
-    /// flush of one thread's buffer would flood the count-based ring with a
-    /// single context, so batched events consult event timestamps instead.
-    recency: ContextRecency,
+    /// Phase ring for standalone [`Strategy::on_access`] calls only; under
+    /// a runtime the phase verdict comes from the runtime's ring, and this
+    /// one is never allocated.
+    standalone_phase: OnceLock<PhaseBuffer>,
+    phase_buffer: usize,
     hb: Option<HbInference>,
     decay: DecayTable,
     traps: TrapSet,
@@ -68,8 +68,8 @@ impl Tsvd {
                 config.max_tracked_objects,
                 config.near_miss_shards,
             ),
-            phase: PhaseBuffer::new(config.phase_buffer),
-            recency: ContextRecency::new(config.phase_buffer, window.unwrap_or(u64::MAX)),
+            standalone_phase: OnceLock::new(),
+            phase_buffer: config.phase_buffer,
             hb: config.enable_hb_inference.then(|| {
                 HbInference::new(
                     config.hb_gap_ns(),
@@ -112,9 +112,17 @@ impl Strategy for Tsvd {
     }
 
     fn on_access(&self, access: &Access) -> Option<u64> {
-        // Concurrent-phase inference: record every TSVD point; with the
-        // ablation switch off, every phase counts as concurrent.
-        let concurrent = self.phase.record_and_check(access.context) || !self.phase_detection;
+        let concurrent = self.phase_detection
+            && self
+                .standalone_phase
+                .get_or_init(|| PhaseBuffer::new(self.phase_buffer))
+                .record_and_check(access.context);
+        self.on_access_in_phase(access, concurrent)
+    }
+
+    fn on_access_in_phase(&self, access: &Access, concurrent: bool) -> Option<u64> {
+        // With the ablation switch off, every phase counts as concurrent.
+        let concurrent = concurrent || !self.phase_detection;
 
         // HB inference: prune pairs whose locations this access proves (by
         // delay propagation) to be ordered.
@@ -191,18 +199,10 @@ impl Strategy for Tsvd {
         true
     }
 
-    fn on_batch(&self, events: &[Access]) {
-        // Batched events arrive in bursts per thread, which would flood the
-        // count-based phase ring with a single context; the time-based
-        // recency table consults event timestamps instead. It is
-        // order-sensitive within a context, so flags are computed in event
-        // order before the shard-grouped near-miss pass below reorders
-        // delivery across objects.
-        let concurrent: Vec<bool> = events
-            .iter()
-            .map(|a| self.recency.note_and_check(a.context, a.time_ns) || !self.phase_detection)
-            .collect();
-
+    fn on_batch(&self, events: &[Access], concurrent: &[bool]) {
+        // The runtime computed the phase flags in event order, before the
+        // shard-grouped near-miss pass below reorders delivery across
+        // objects.
         if let Some(hb) = &self.hb {
             for access in events {
                 for pair in hb.on_access(access.context, access.site, access.time_ns) {
@@ -217,7 +217,7 @@ impl Strategy for Tsvd {
         // near misses rediscover pairs continuously and HB prunes re-fire
         // on later accesses, so the steady state is unchanged.
         self.near_miss.record_batch(events, |index, pairs| {
-            if !concurrent[index] {
+            if !concurrent[index] && self.phase_detection {
                 return;
             }
             for pair in pairs {
@@ -333,6 +333,21 @@ mod tests {
         // makes the buffer concurrent (two distinct contexts in window).
         s.on_access(&acc(2, 7, site(2), OpKind::Write, 8));
         assert_eq!(s.trap_set_len(), 1);
+    }
+
+    #[test]
+    fn caller_verdict_replaces_the_standalone_ring() {
+        let s = Tsvd::new(&config());
+        // Two contexts interleave, but the caller's verdict says sequential.
+        s.on_access_in_phase(&acc(1, 7, site(1), OpKind::Write, 0), false);
+        s.on_access_in_phase(&acc(2, 7, site(2), OpKind::Write, 1), false);
+        assert_eq!(s.trap_set_len(), 0);
+        s.on_access_in_phase(&acc(1, 7, site(1), OpKind::Write, 2), true);
+        assert_eq!(s.trap_set_len(), 1);
+        assert!(
+            s.standalone_phase.get().is_none(),
+            "a runtime-driven strategy keeps no phase ring of its own"
+        );
     }
 
     #[test]

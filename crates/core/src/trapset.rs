@@ -396,10 +396,15 @@ mod tests {
         let anchor = SitePair::new(site(100), site(101));
         t.add(anchor);
         let stop = Arc::new(AtomicUsize::new(0));
+        // Readers that have finished one read: the writer starts churning
+        // only once every reader is running, so the churn can't finish
+        // before any reader is scheduled.
+        let started = Arc::new(AtomicUsize::new(0));
         let readers: Vec<_> = (0..3)
             .map(|_| {
                 let t = t.clone();
                 let stop = stop.clone();
+                let started = started.clone();
                 std::thread::spawn(move || {
                     let mut reads = 0u64;
                     while stop.load(Ordering::Relaxed) == 0 {
@@ -413,11 +418,17 @@ mod tests {
                             assert!(p == site(103) || p == site(104), "foreign partner {p:?}");
                         }
                         reads += 1;
+                        if reads == 1 {
+                            started.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                     reads
                 })
             })
             .collect();
+        while started.load(Ordering::Relaxed) < 3 {
+            std::thread::yield_now();
+        }
         for round in 0..400 {
             let a = SitePair::new(site(102), site(103));
             let b = SitePair::new(site(102), site(104));

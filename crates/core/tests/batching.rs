@@ -157,16 +157,19 @@ fn thread_exit_flushes_the_local_buffer() {
     cfg.batch_capacity = 1_000;
     let rt = Runtime::tsvd(cfg);
     let site = tsvd_core::site!();
-    std::thread::scope(|scope| {
-        let rt = &rt;
-        scope.spawn(move || {
+    // A plain `join`, not a scope: a scope returns once the closure ends,
+    // which can be before the thread's TLS destructors have run.
+    let worker = {
+        let rt = rt.clone();
+        std::thread::spawn(move || {
             for i in 0..5 {
                 rt.on_call(ObjId(i), site, "x.write", OpKind::Write);
             }
             assert_eq!(rt.thread_buffered_events(), 5);
             // No explicit flush: the TLS destructor must deliver these.
-        });
-    });
+        })
+    };
+    worker.join().expect("worker panicked");
     assert_eq!(rt.stats().on_calls(), 5, "exit flush delivers every event");
     assert!(rt.stats().thread_exit_flushes() >= 1);
     assert_eq!(rt.stats().batch_events_flushed(), 5);

@@ -10,6 +10,7 @@
 
 #![cfg(feature = "hotpath_audit")]
 
+use tsvd_core::stats::RuntimeStats;
 use tsvd_core::{audit, ObjId, OpKind, Runtime, TsvdConfig};
 
 #[test]
@@ -57,7 +58,7 @@ fn zero_trap_batched_path_performs_no_locks_and_no_shared_writes() {
 #[test]
 fn inline_path_is_visible_to_the_audit() {
     // Without batching every call takes the inline path, which by design
-    // uses locks (near-miss shards, coverage maps) and shared writes
+    // uses locks (near-miss shards, HB stripes) and shared writes
     // (counters, phase ring). The audit must see them.
     let rt = Runtime::tsvd(TsvdConfig::for_testing());
     assert!(!rt.is_batching());
@@ -71,4 +72,27 @@ fn inline_path_is_visible_to_the_audit() {
         "inline path locks per call"
     );
     assert!(audit::shared_writes() >= 10);
+}
+
+#[test]
+fn site_interning_and_coverage_take_no_lock_after_first_visit() {
+    let stats = RuntimeStats::new();
+    for round in 0..3 {
+        if round == 1 {
+            // Round 0 was every site's first visit on this thread.
+            audit::reset();
+        }
+        for (i, site) in [tsvd_core::site!(), tsvd_core::site!()]
+            .into_iter()
+            .enumerate()
+        {
+            stats.record_call(site, i == 0);
+        }
+    }
+    assert_eq!(
+        audit::lock_acquisitions(),
+        0,
+        "cached site lookups and coverage updates must take no lock"
+    );
+    assert_eq!(stats.on_calls(), 6);
 }
