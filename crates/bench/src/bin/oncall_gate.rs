@@ -3,56 +3,29 @@
 //! `oncall_gate --write BENCH_oncall.json` measures every (shape, detector,
 //! threads) point with the same worker loop the Criterion bench uses and
 //! persists the results; `--check BENCH_oncall.json [--quick]` re-measures
-//! and fails (exit 1) if any point regressed by more than 15% — or if one
-//! of the absolute invariants below no longer holds.
+//! and fails (exit 1) if any (shape, detector) aggregate regressed by more
+//! than 15%.
 //!
 //! Raw nanoseconds-per-access are machine-dependent, so the stored numbers
 //! that gate CI are *normalized*: each point is divided by the same run's
 //! `noop @ 1 thread` time for the same shape. That ratio is "detector cost
 //! in units of bare-instrumentation cost" and transfers across machines.
-//!
-//! Two absolute invariants are enforced on every run (write and check),
-//! both on the read-only high-cardinality shape where a batched runtime
-//! never leaves the zero-shared-write fast path:
-//! - `tsvd_batched` at 8 threads must be no slower than inline `tsvd` at 8
-//!   threads measured in the same run (the point of this whole exercise);
-//! - `tsvd_batched`'s projected 1→8 scaling must be ≥ 6×. On a machine with
-//!   fewer than 8 cores wall-clock scaling is capped by the scheduler, so
-//!   the projection uses per-access time instead: a perfectly scalable hot
-//!   path keeps per-access time flat as threads multiplex onto the same
-//!   cores, giving `8 × t1/t8 ≈ 8`; a serializing one inflates `t8` and the
-//!   projection collapses toward 1.
 
 use std::process::ExitCode;
 
 use serde::{Deserialize, Serialize};
-use tsvd_bench::{make_sites, measure_per_access_ns, tsvd_batched, Factory, SHAPES};
+use tsvd_bench::{make_sites, measure_per_access_ns, Factory, SHAPES};
 use tsvd_core::Runtime;
 
 /// Detector table the gate persists. Smaller than the Criterion bench's:
 /// the gate exists to catch hot-path regressions, not to profile every
 /// strategy variant.
-const DETECTORS: &[(&str, Factory)] = &[
-    ("noop", Runtime::noop),
-    ("tsvd", Runtime::tsvd),
-    ("tsvd_batched", tsvd_batched),
-];
+const DETECTORS: &[(&str, Factory)] = &[("noop", Runtime::noop), ("tsvd", Runtime::tsvd)];
 
 const THREADS: &[usize] = &[1, 2, 4, 8];
 
 /// Allowed growth of a normalized ratio before `--check` fails.
 const REGRESSION_TOLERANCE: f64 = 1.15;
-
-/// Minimum projected 1→8 scaling for `tsvd_batched` on `highcard_ro`.
-const MIN_PROJECTED_SCALING: f64 = 6.0;
-
-/// Noise allowance for the batched-vs-inline comparison. On a machine with
-/// enough cores the batched path wins outright (there is real cross-core
-/// contention to eliminate); on a single-core runner both paths do the same
-/// total analysis work and differ only by measurement noise, which this
-/// absorbs while still failing if batching ever becomes categorically
-/// slower.
-const BATCHED_VS_INLINE_TOLERANCE: f64 = 1.10;
 
 #[derive(Debug, Serialize, Deserialize)]
 struct Entry {
@@ -80,9 +53,6 @@ struct Aggregate {
 struct BenchFile {
     schema_version: u32,
     mode: String,
-    /// Projected 1→8 scaling for `tsvd_batched` on `highcard_ro`
-    /// (`min(8, 8 × t1/t8)`), re-derived and re-gated on every check.
-    projected_scaling_8: f64,
     /// Per-point measurements (informational; not gated individually).
     entries: Vec<Entry>,
     /// The gated aggregates.
@@ -132,12 +102,10 @@ fn measure_all(params: &Params, mode: &str) -> BenchFile {
             }
         }
     }
-    let projected_scaling_8 = projected_scaling(&entries);
     let aggregates = aggregate(&entries);
     BenchFile {
         schema_version: 1,
         mode: mode.to_string(),
-        projected_scaling_8,
         entries,
         aggregates,
     }
@@ -164,66 +132,6 @@ fn aggregate(entries: &[Entry]) -> Vec<Aggregate> {
         }
     }
     out
-}
-
-fn lookup(entries: &[Entry], shape: &str, detector: &str, threads: u32) -> Option<f64> {
-    entries
-        .iter()
-        .find(|e| e.shape == shape && e.detector == detector && e.threads == threads)
-        .map(|e| e.per_access_ns)
-}
-
-/// Projected 1→8 scaling for `tsvd_batched` on the read-only shape: a
-/// perfectly scalable hot path keeps per-access time flat as the thread
-/// count grows, so `8 × (low-thread time / high-thread time)` approaches 8
-/// even when the runner has a single core; a serializing path inflates the
-/// high-thread times and the projection collapses toward 1. Each side of
-/// the ratio averages two thread counts to damp single-cell noise.
-fn projected_scaling(entries: &[Entry]) -> f64 {
-    let cell =
-        |threads| lookup(entries, "highcard_ro", "tsvd_batched", threads).unwrap_or(f64::NAN);
-    let low = (cell(1) * cell(2)).sqrt();
-    let high = (cell(4) * cell(8)).sqrt();
-    (8.0 * low / high).min(8.0)
-}
-
-/// The machine-independent invariants that must hold on every run. Both
-/// compare whole thread-count sweeps (geometric means over 1/2/4/8
-/// threads), not single cells — one (detector, threads) point on a busy
-/// single-core runner can swing ±25% between reps, a four-point geomean
-/// does not.
-fn check_invariants(current: &BenchFile) -> Result<(), String> {
-    let agg = |detector: &str| {
-        current
-            .aggregates
-            .iter()
-            .find(|a| a.shape == "highcard_ro" && a.detector == detector)
-            .map(|a| a.normalized_geomean)
-            .ok_or_else(|| format!("missing highcard_ro/{detector} aggregate"))
-    };
-    let batched = agg("tsvd_batched")?;
-    let inline = agg("tsvd")?;
-    if batched > inline * BATCHED_VS_INLINE_TOLERANCE {
-        return Err(format!(
-            "batched hot path is slower than the inline path: tsvd_batched \
-             {batched:.2}x noop@1 vs tsvd {inline:.2}x noop@1 across 1/2/4/8 \
-             threads (highcard_ro)"
-        ));
-    }
-    let scaling = projected_scaling(&current.entries);
-    // NaN (missing/zero cells) must fail the gate, so test for the
-    // passing condition and invert rather than comparing directly.
-    if !(scaling.is_finite() && scaling >= MIN_PROJECTED_SCALING) {
-        return Err(format!(
-            "projected 1→8 scaling for tsvd_batched on highcard_ro is {scaling:.2}x, \
-             need >= {MIN_PROJECTED_SCALING:.1}x"
-        ));
-    }
-    eprintln!(
-        "invariants: tsvd_batched {batched:.2}x <= tsvd {inline:.2}x noop@1 \
-         (highcard_ro sweep); projected scaling {scaling:.2}x >= {MIN_PROJECTED_SCALING:.1}x"
-    );
-    Ok(())
 }
 
 /// Aggregate normalized-ratio comparison against the stored baseline.
@@ -313,10 +221,6 @@ fn main() -> ExitCode {
         (Some(path), None) => {
             eprintln!("measuring ({mode} mode) ...");
             let current = measure_all(&params, mode);
-            if let Err(e) = check_invariants(&current) {
-                eprintln!("REFUSING to write a failing baseline:\n{e}");
-                return ExitCode::FAILURE;
-            }
             if let Err(e) = write_atomically(&path, &current) {
                 eprintln!("failed to write {path}: {e}");
                 return ExitCode::FAILURE;
@@ -337,16 +241,8 @@ fn main() -> ExitCode {
             };
             eprintln!("measuring ({mode} mode) ...");
             let current = measure_all(&params, mode);
-            let mut failed = false;
-            if let Err(e) = check_invariants(&current) {
-                eprintln!("INVARIANT FAILURE:\n{e}");
-                failed = true;
-            }
             if let Err(e) = check_against(&stored, &current) {
                 eprintln!("REGRESSION vs {path}:\n{e}");
-                failed = true;
-            }
-            if failed {
                 ExitCode::FAILURE
             } else {
                 eprintln!("oncall gate: OK");

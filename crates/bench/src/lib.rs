@@ -4,10 +4,7 @@
 //! regression gate (`src/bin/oncall_gate.rs`) drive the same worker loop so
 //! their numbers are comparable: `iters` accesses split across `threads`
 //! workers, each walking its own stride of the object/site space, timed from
-//! barrier release to last join. Thread spawn cost is excluded; the
-//! thread-exit flush of a batched runtime's local buffer is *included*
-//! (workers exit inside the timed region), so batching cannot hide work by
-//! leaving it in thread-local buffers.
+//! barrier release to last join. Thread spawn cost is excluded.
 
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -15,11 +12,6 @@ use std::time::{Duration, Instant};
 
 use tsvd_core::site::{SiteData, SiteId};
 use tsvd_core::{ObjId, OpKind, Runtime, TsvdConfig};
-
-/// Batch capacity used by the `*_batched` factory wrappers. Large enough
-/// that a quiescent worker flushes only at thread exit for typical bench
-/// iteration counts per sample; small enough to keep drain latency bounded.
-pub const BENCH_BATCH_CAPACITY: usize = 256;
 
 /// A runtime constructor, so detector variants can be tabulated.
 pub type Factory = fn(TsvdConfig) -> Arc<Runtime>;
@@ -33,29 +25,15 @@ pub fn no_delay_config() -> TsvdConfig {
     c
 }
 
-/// `Runtime::tsvd` with thread-local batching enabled.
-pub fn tsvd_batched(mut config: TsvdConfig) -> Arc<Runtime> {
-    config.batch_capacity = BENCH_BATCH_CAPACITY;
-    Runtime::tsvd(config)
-}
-
-/// `Runtime::noop` with thread-local batching enabled — isolates the cost
-/// of the buffering machinery itself from the analysis it defers.
-pub fn noop_batched(mut config: TsvdConfig) -> Arc<Runtime> {
-    config.batch_capacity = BENCH_BATCH_CAPACITY;
-    Runtime::noop(config)
-}
-
 /// What mix of operations the workers issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessMix {
     /// 1-in-4 writes, the rest reads: conflicting pairs exist, so a TSVD
-    /// detector arms traps and (for batched runtimes) closes the fast-path
-    /// gate once it does.
+    /// detector arms pairs and reads its trap set on every access.
     Mixed,
-    /// Reads only: no conflicting pair ever forms, no trap ever arms, and a
-    /// batched runtime stays on the zero-shared-write path for the whole
-    /// run. This is the shape that measures the fast path itself.
+    /// Reads only: no conflicting pair ever forms and no trap ever arms, so
+    /// every access takes the zero-trap path. This is the shape that
+    /// measures that path itself.
     ReadOnly,
 }
 

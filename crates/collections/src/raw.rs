@@ -154,17 +154,20 @@ mod tests {
     #[test]
     fn overlapping_writes_latch_corruption() {
         // Construct a guaranteed overlap (works even on one CPU): thread A
-        // blocks *inside* its write while thread B enters a second write.
+        // waits *inside* its write window until thread B's second write
+        // has returned.
         let cell = RawCell::new(0u64);
+        let handshake = Barrier::new(2);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                cell.write(|v| {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    *v += 1;
-                });
+                let section = cell.enter_write();
+                handshake.wait(); // A is inside its write.
+                handshake.wait(); // B's write returned.
+                section.perform(|v| *v += 1);
             });
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            handshake.wait();
             cell.write(|v| *v += 1);
+            handshake.wait();
         });
         assert!(cell.is_corrupted(), "write-write overlap must latch");
         assert_eq!(cell.read(|v| *v), 2, "storage itself stays consistent");
@@ -172,16 +175,20 @@ mod tests {
 
     #[test]
     fn read_during_write_latches_corruption() {
+        // The writer waits inside its write window until the read has
+        // returned, so the overlap does not depend on timing.
         let cell = RawCell::new(7u64);
+        let handshake = Barrier::new(2);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                cell.write(|v| {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    *v += 1;
-                });
+                let section = cell.enter_write();
+                handshake.wait(); // The writer is inside its write.
+                handshake.wait(); // The read returned.
+                section.perform(|v| *v += 1);
             });
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            handshake.wait();
             cell.read(|v| *v);
+            handshake.wait();
         });
         assert!(cell.is_corrupted(), "torn read must latch");
     }

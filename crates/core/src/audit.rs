@@ -1,12 +1,17 @@
 //! Hot-path audit: proof-grade counting of locks and shared writes.
 //!
-//! The batched zero-trap `on_call` path claims to perform *no* lock
-//! acquisitions and *no* shared-memory writes. Claims like that rot silently
-//! as code evolves, so every lock acquisition and every shared-memory store
-//! or RMW on the runtime's access path is annotated with a call to
-//! [`note_lock`] or [`note_shared_write`]. With the `hotpath_audit` cargo
-//! feature the notes bump thread-local counters a test can assert on; in
-//! normal builds they compile to nothing.
+//! The cost of an `on_call` that meets no trap and no armed pair is a fixed
+//! number of lock acquisitions and shared-memory writes per call (DESIGN.md
+//! "Round 3"). Claims like that rot silently as code evolves, so every lock
+//! acquisition and every shared-memory store or RMW on the runtime's access
+//! path is annotated with a call to [`note_lock`] or [`note_shared_write`].
+//! With the `hotpath_audit` cargo feature the notes bump thread-local
+//! counters a test can assert on; in normal builds they compile to nothing.
+//!
+//! Counting rule: a lock acquisition is one [`note_lock`], and it covers the
+//! lock word and every write to memory the lock guards. [`note_shared_write`]
+//! counts one atomic store or RMW that other threads can see without taking
+//! a lock.
 //!
 //! The counters are thread-local on purpose: an audit of *this thread's*
 //! fast path must not be polluted by other test threads, and the counters
@@ -25,9 +30,8 @@ thread_local! {
 /// calling thread. No-op unless the `hotpath_audit` feature is enabled.
 #[inline(always)]
 pub fn note_lock() {
-    // `try_with`: notes can fire from thread-exit destructors (the local
-    // event buffer flushes on TLS teardown), after the counter TLS may
-    // already be gone.
+    // `try_with`: notes can fire from thread-exit destructors, after the
+    // counter TLS may already be gone.
     #[cfg(feature = "hotpath_audit")]
     let _ = LOCKS.try_with(|c| c.set(c.get() + 1));
 }

@@ -139,16 +139,6 @@ pub struct TsvdConfig {
     #[serde(default = "default_trap_import_budget")]
     pub trap_import_budget: usize,
 
-    // --- Hot-path batching (implementation, not a paper knob) ----------------
-    /// Capacity of each thread-local event buffer on the zero-trap fast
-    /// path. While the runtime is quiescent (no trap armed, no armed pair)
-    /// the hot path appends accesses to this buffer instead of touching any
-    /// shared structure, flushing at trap checks, synchronization points,
-    /// buffer-full, and thread exit. `0` (the default) disables batching:
-    /// every access is analyzed inline, exactly the pre-batching behavior.
-    #[serde(default)]
-    pub batch_capacity: usize,
-
     // --- Robustness: durable violation sink ---------------------------------
     /// Write-ahead violation log: every caught violation is appended to this
     /// JSONL file the moment it is caught, so a later test-process crash
@@ -220,7 +210,6 @@ impl Default for TsvdConfig {
             watchdog_grace_polls: default_watchdog_grace_polls(),
             watchdog_max_cancellations: default_watchdog_max_cancellations(),
             trap_import_budget: default_trap_import_budget(),
-            batch_capacity: 0,
             durable_sink: None,
             durable_sink_fsync: false,
         }
@@ -399,7 +388,9 @@ mod tests {
     #[test]
     fn config_without_robustness_fields_still_deserializes() {
         // Configs persisted before the watchdog/sink fields existed must
-        // load with the defaults instead of erroring.
+        // load with the defaults instead of erroring. So must configs that
+        // still carry the removed `batch_capacity` option: unknown keys are
+        // ignored.
         let mut value = serde::Serialize::to_value(&TsvdConfig::paper());
         match &mut value {
             serde::Value::Object(map) => {
@@ -410,7 +401,6 @@ mod tests {
                     "watchdog_grace_polls",
                     "watchdog_max_cancellations",
                     "trap_import_budget",
-                    "batch_capacity",
                     "durable_sink",
                     "durable_sink_fsync",
                 ] {
@@ -419,12 +409,17 @@ mod tests {
             }
             other => panic!("expected object, got {other:?}"),
         }
-        let back = <TsvdConfig as serde::Deserialize>::from_value(&value).expect("deserialize");
-        assert!(back.watchdog);
-        assert_eq!(back.run_deadline_ns, u64::MAX);
-        assert!(back.durable_sink.is_none());
-        assert_eq!(back.trap_import_budget, usize::MAX);
-        assert_eq!(back.batch_capacity, 0, "batching defaults to off");
+        let mut with_removed_option = value.clone();
+        if let serde::Value::Object(map) = &mut with_removed_option {
+            map.insert("batch_capacity".to_string(), serde::Value::UInt(256));
+        }
+        for input in [value, with_removed_option] {
+            let back = <TsvdConfig as serde::Deserialize>::from_value(&input).expect("deserialize");
+            assert!(back.watchdog);
+            assert_eq!(back.run_deadline_ns, u64::MAX);
+            assert!(back.durable_sink.is_none());
+            assert_eq!(back.trap_import_budget, usize::MAX);
+        }
     }
 
     #[test]

@@ -53,6 +53,7 @@ impl DecayTable {
         let result = mutate(&mut next);
         audit::note_shared_write();
         self.armed.store(next.len(), Ordering::Release);
+        audit::note_shared_write();
         self.snapshot.swap(next);
         result
     }

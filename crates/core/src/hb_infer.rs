@@ -130,7 +130,6 @@ impl HbInference {
     /// pruned from the trap set).
     pub fn on_access(&self, context: ContextId, site: SiteId, now_ns: u64) -> Vec<SitePair> {
         audit::note_lock();
-        audit::note_shared_write();
         let mut threads = self.stripes[self.stripe_of(context)].0.lock();
         let state = threads.entry(context).or_default();
         let last = state.last_access_ns.replace(now_ns);

@@ -140,61 +140,10 @@ impl NearMissTracker {
     pub fn record(&self, access: &Access) -> Vec<SitePair> {
         crate::audit::note_lock();
         let mut guard = self.shards[self.shard_index(access.obj)].lock();
-        Self::record_in_shard(
-            &mut guard,
-            access,
-            self.history,
-            self.window_ns,
-            self.per_shard_objects,
-        )
-    }
-
-    /// Records a batch of accesses, locking each stripe once per batch
-    /// instead of once per event. Events are bucketed by stripe and replayed
-    /// in original order within each bucket; per-object history outcomes are
-    /// identical to calling [`NearMissTracker::record`] event by event,
-    /// because an object's history lives entirely in one stripe and the
-    /// near-miss window compares recorded timestamps, not arrival order.
-    ///
-    /// `sink(index, pairs)` is invoked for every event (by its index in
-    /// `events`) that formed at least one dangerous pair.
-    pub fn record_batch(&self, events: &[Access], mut sink: impl FnMut(usize, Vec<SitePair>)) {
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (index, access) in events.iter().enumerate() {
-            buckets[self.shard_index(access.obj)].push(index);
-        }
-        for (shard_index, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            crate::audit::note_lock();
-            let mut guard = self.shards[shard_index].lock();
-            for index in bucket {
-                let pairs = Self::record_in_shard(
-                    &mut guard,
-                    &events[index],
-                    self.history,
-                    self.window_ns,
-                    self.per_shard_objects,
-                );
-                if !pairs.is_empty() {
-                    sink(index, pairs);
-                }
-            }
-        }
-    }
-
-    fn record_in_shard(
-        shard: &mut Shard,
-        access: &Access,
-        history: usize,
-        window_ns: Option<u64>,
-        per_shard_objects: usize,
-    ) -> Vec<SitePair> {
         // Single map lookup on the hot (existing-object) path: with many
         // live objects the lookup is a cache miss, so a `contains_key` +
         // `get_mut` sequence would double the dominant cost of recording.
-        let shard = &mut *shard;
+        let shard = &mut *guard;
         let mut is_new = false;
         let entry = match shard.map.entry(access.obj) {
             std::collections::hash_map::Entry::Occupied(e) => {
@@ -210,7 +159,7 @@ impl NearMissTracker {
                 is_new = true;
                 shard.order.push_back(access.obj);
                 v.insert(ObjHistory {
-                    hist: VecDeque::with_capacity(history),
+                    hist: VecDeque::with_capacity(self.history),
                     hot: false,
                 })
             }
@@ -224,7 +173,7 @@ impl NearMissTracker {
             if !prev.kind.conflicts_with(access.kind) {
                 continue;
             }
-            if let Some(window) = window_ns {
+            if let Some(window) = self.window_ns {
                 if access.time_ns.abs_diff(prev.time_ns) > window {
                     continue;
                 }
@@ -241,7 +190,7 @@ impl NearMissTracker {
             kind: access.kind,
             time_ns: access.time_ns,
         });
-        while entry.hist.len() > history {
+        while entry.hist.len() > self.history {
             entry.hist.pop_front();
         }
 
@@ -250,7 +199,7 @@ impl NearMissTracker {
             // coldest object, giving recently touched ones a second chance.
             // The just-inserted object is exempt (it is cold by design and
             // must survive its own insertion).
-            while shard.map.len() > per_shard_objects {
+            while shard.map.len() > self.per_shard_objects {
                 let Some(victim) = shard.order.pop_front() else {
                     break;
                 };
@@ -445,37 +394,6 @@ mod tests {
             pairs.contains(&SitePair::new(site(1), site(3))),
             "hot object's history must survive the churn"
         );
-    }
-
-    #[test]
-    fn batch_recording_matches_sequential() {
-        // The same event stream through `record_batch` must attribute
-        // exactly the pairs `record` attributes, event by event, even
-        // though the batch path visits stripes out of event order.
-        let seq = tracker();
-        let bat = tracker();
-        let events: Vec<Access> = (0..48u64)
-            .map(|i| {
-                let kind = if i % 2 == 0 {
-                    OpKind::Write
-                } else {
-                    OpKind::Read
-                };
-                acc(1 + i % 3, i % 7, site((i % 5) as u32), kind, i)
-            })
-            .collect();
-        let mut expected = Vec::new();
-        for (index, access) in events.iter().enumerate() {
-            let pairs = seq.record(access);
-            if !pairs.is_empty() {
-                expected.push((index, pairs));
-            }
-        }
-        assert!(!expected.is_empty(), "the stream must form pairs");
-        let mut got = Vec::new();
-        bat.record_batch(&events, |index, pairs| got.push((index, pairs)));
-        got.sort_by_key(|(index, _)| *index);
-        assert_eq!(got, expected);
     }
 
     #[test]

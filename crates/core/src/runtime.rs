@@ -9,17 +9,15 @@
 //! events through [`Runtime::on_sync`] (consumed only by TSVD-HB).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::access::{Access, ObjId, OpKind};
 use crate::audit;
-use crate::batch::{self, Offer};
 use crate::clock::now_ns;
 use crate::config::TsvdConfig;
 use crate::context;
-use crate::gate::HotGate;
-use crate::phase::{ContextRecency, PhaseBuffer};
+use crate::phase::PhaseBuffer;
 use crate::report::{Party, ReportSink, Violation};
 use crate::sink::DurableSink;
 use crate::site::SiteId;
@@ -36,20 +34,9 @@ pub struct Runtime {
     sink: ReportSink,
     stats: RuntimeStats,
     config: TsvdConfig,
-    /// Concurrent-phase inference (§3.4.3) for inline accesses. Its one
-    /// verdict per access feeds both coverage and the strategy.
+    /// Concurrent-phase inference (§3.4.3). Its one verdict per access
+    /// feeds both coverage and the strategy.
     phase: PhaseBuffer,
-    /// The same inference for *batched* events, which arrive in per-thread
-    /// bursts and so are judged by timestamp (see
-    /// [`crate::phase::ContextRecency`]).
-    recency: ContextRecency,
-    /// Single-word quiescence gate read by the batched fast path.
-    gate: Arc<HotGate>,
-    /// `true` iff `batch_capacity > 0` and the strategy opted in.
-    batching: bool,
-    /// Self-reference handed to thread-local buffers so their exit
-    /// destructors can flush back into this runtime.
-    weak_self: Weak<Runtime>,
     run_delay_ns: AtomicU64,
     /// Liveness monitor for injected delays (see [`crate::watchdog`]).
     watchdog: Watchdog,
@@ -83,31 +70,12 @@ impl Runtime {
                 }
             }
         });
-        // Gate wiring: every structure whose armed state must close the
-        // zero-trap fast path mirrors itself into one shared activity word.
-        let gate = Arc::new(HotGate::new());
-        strategy.attach_gate(&gate);
-        let traps = Arc::new(TrapTable::with_shards(config.trap_shards));
-        traps.attach_gate(gate.clone());
-        let batching = config.batch_capacity > 0 && strategy.supports_batching();
-        // Two events of different contexts count as concurrent within the
-        // near-miss window; the windowing ablation removes the window here
-        // as it does for near misses.
-        let horizon_ns = if config.enable_windowing {
-            config.near_miss_window_ns
-        } else {
-            u64::MAX
-        };
-        Arc::new_cyclic(|weak| Runtime {
+        Arc::new(Runtime {
             strategy,
-            traps,
+            traps: Arc::new(TrapTable::with_shards(config.trap_shards)),
             sink: ReportSink::new(),
             stats: RuntimeStats::with_shards(config.stats_shards),
             phase: PhaseBuffer::new(config.phase_buffer),
-            recency: ContextRecency::new(config.phase_buffer, horizon_ns),
-            gate,
-            batching,
-            weak_self: weak.clone(),
             watchdog: Watchdog::new(&config),
             durable,
             config,
@@ -177,14 +145,6 @@ impl Runtime {
             time_ns: now_ns(),
         };
 
-        // Zero-trap fast path: while the gate is quiescent (no trap live,
-        // no pair armed, no drain pending) the access is captured in a
-        // thread-local buffer — one relaxed atomic load, no lock, no shared
-        // write — and analyzed at the next flush point.
-        if self.batching && batch::offer(self, &access) == Offer::Buffered {
-            return;
-        }
-
         let concurrent = self.phase.record_and_check(access.context);
         self.stats.record_call(site, concurrent);
 
@@ -244,14 +204,6 @@ impl Runtime {
                     );
                 }
             } else if self.delay_budget_allows(access.context, delay_ns) {
-                // Force-drain: bump the gate's drain epoch *before* the trap
-                // goes live, so every thread still buffering flushes its
-                // pre-arm observations at its next touch point — even if the
-                // trap is long gone by then.
-                if self.batching {
-                    self.gate.request_drain();
-                    self.stats.record_drain_request();
-                }
                 // RAII from here: the guard clears the trap and restores the
                 // live count even if anything below unwinds; the scope keeps
                 // the watchdog's delayed counters balanced the same way.
@@ -296,75 +248,9 @@ impl Runtime {
 
     /// Reports a synchronization event (fork/join/lock). TSVD ignores these
     /// by design; TSVD-HB builds its vector clocks from them.
-    ///
-    /// Synchronization is a flush point: buffered accesses are delivered
-    /// first, so ordering evidence never arrives ahead of the accesses that
-    /// preceded it on this thread.
     pub fn on_sync(&self, event: SyncEvent) {
-        if self.batching {
-            batch::flush_current(self);
-        }
         self.stats.record_sync();
         self.strategy.on_sync(&event);
-    }
-
-    /// Flushes the calling thread's local event buffer into the shared
-    /// analysis structures. Pool workers call this before idling or
-    /// exiting; it is a no-op when batching is off or nothing is buffered.
-    pub fn flush_thread_events(&self) {
-        if self.batching {
-            batch::flush_current(self);
-        }
-    }
-
-    /// Delivers a drained thread-local buffer: phase verdict, coverage and
-    /// statistics for every event, then the strategy's batch replay with
-    /// the same verdicts.
-    pub(crate) fn apply_batch(&self, events: &[Access], thread_exit: bool) {
-        self.stats.record_batch_flush(events.len() as u64);
-        if thread_exit {
-            self.stats.record_thread_exit_flush();
-        }
-        self.stats.record_calls_bulk(events.len() as u64);
-        let concurrent: Vec<bool> = events
-            .iter()
-            .map(|access| {
-                let concurrent = self.recency.note_and_check(access.context, access.time_ns);
-                self.stats.record_coverage(access.site, concurrent);
-                concurrent
-            })
-            .collect();
-        self.strategy.on_batch(events, &concurrent);
-    }
-
-    /// The runtime's quiescence gate (read by the batched fast path).
-    pub(crate) fn gate(&self) -> &HotGate {
-        &self.gate
-    }
-
-    /// Capacity of each thread-local event buffer.
-    pub(crate) fn batch_capacity(&self) -> usize {
-        self.config.batch_capacity
-    }
-
-    /// A weak self-reference for thread-local buffers.
-    pub(crate) fn weak_self(&self) -> Weak<Runtime> {
-        self.weak_self.clone()
-    }
-
-    /// `true` when the thread-local batching fast path is active.
-    pub fn is_batching(&self) -> bool {
-        self.batching
-    }
-
-    /// Events currently buffered on the *calling thread* for this runtime
-    /// (tests and diagnostics).
-    pub fn thread_buffered_events(&self) -> usize {
-        if self.batching {
-            batch::buffered_len(self)
-        } else {
-            0
-        }
     }
 
     fn delay_budget_allows(&self, ctx: context::ContextId, delay_ns: u64) -> bool {
@@ -742,42 +628,5 @@ mod tests {
         );
         assert!(armed(&rt).contains(&seq_pair), "arming ignores the verdict");
         assert!(armed(&rt).contains(&con_pair));
-    }
-
-    #[test]
-    fn windowing_ablation_batched_verdict_has_no_horizon() {
-        // One verdict serves coverage and arming, so they share one
-        // horizon. The chosen one is the strategy's: unbounded (`u64::MAX`)
-        // under the windowing ablation, the near-miss window otherwise.
-        // Coverage therefore counts far-apart contexts as concurrent under
-        // the ablation, where it used the near-miss window before.
-        let far_apart = |windowing: bool| {
-            let mut c = cfg();
-            c.batch_capacity = 64;
-            c.enable_windowing = windowing;
-            let gap = 1_000 * c.near_miss_window_ns;
-            let rt = Runtime::tsvd(c);
-            assert!(rt.is_batching());
-            let (a, b) = (crate::site!(), crate::site!());
-            let access = |context, site, time_ns| Access {
-                context,
-                obj: ObjId(7),
-                site,
-                op_name: "x.write",
-                kind: OpKind::Write,
-                time_ns,
-            };
-            rt.apply_batch(
-                &[
-                    access(context::fresh_id(), a, 1),
-                    access(context::fresh_id(), b, 1 + gap),
-                ],
-                false,
-            );
-            let pair = SitePair::new(a, b);
-            (concurrent_hits(&rt, b), armed(&rt).contains(&pair))
-        };
-        assert_eq!(far_apart(false), (1, true), "ablation: concurrent, armed");
-        assert_eq!(far_apart(true), (0, false), "window: sequential, unarmed");
     }
 }

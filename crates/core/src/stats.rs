@@ -196,14 +196,6 @@ pub struct RuntimeStats {
     delay_total_ns: AtomicU64,
     traps_caught: AtomicU64,
     sync_events: AtomicU64,
-    /// Buffer drains requested by trap arming events (hot-gate epoch bumps).
-    drain_requests: AtomicU64,
-    /// Local event buffers flushed into the shared analysis structures.
-    batch_flushes: AtomicU64,
-    /// Total events delivered through those flushes.
-    batch_events_flushed: AtomicU64,
-    /// Flushes performed by a thread-local buffer's exit destructor.
-    thread_exit_flushes: AtomicU64,
     delay_shards: Box<[Mutex<HashMap<ContextId, u64>>]>,
     coverage: CoverageTable,
 }
@@ -235,10 +227,6 @@ impl RuntimeStats {
             delay_total_ns: AtomicU64::new(0),
             traps_caught: AtomicU64::new(0),
             sync_events: AtomicU64::new(0),
-            drain_requests: AtomicU64::new(0),
-            batch_flushes: AtomicU64::new(0),
-            batch_events_flushed: AtomicU64::new(0),
-            thread_exit_flushes: AtomicU64::new(0),
             delay_shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             coverage: CoverageTable::new(),
         }
@@ -246,25 +234,13 @@ impl RuntimeStats {
 
     /// Records one `OnCall` entry at `site`, noting phase concurrency.
     pub fn record_call(&self, site: SiteId, concurrent: bool) {
+        audit::note_shared_write();
         self.on_calls.fetch_add(1, Ordering::Relaxed);
-        self.record_coverage(site, concurrent);
-    }
-
-    /// Bulk-counts `n` `OnCall` entries with one counter update. Batch
-    /// flushes use this plus per-event [`RuntimeStats::record_coverage`]
-    /// instead of `n` [`RuntimeStats::record_call`]s.
-    pub fn record_calls_bulk(&self, n: u64) {
-        audit::note_shared_write();
-        self.on_calls.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records site coverage for one access without touching the call
-    /// counter (see [`RuntimeStats::record_calls_bulk`]).
-    pub fn record_coverage(&self, site: SiteId, concurrent: bool) {
-        audit::note_shared_write();
         let cell = self.coverage.cell(site);
+        audit::note_shared_write();
         cell.hits.fetch_add(1, Ordering::Relaxed);
         if concurrent {
+            audit::note_shared_write();
             cell.concurrent_hits.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -285,23 +261,6 @@ impl RuntimeStats {
     /// Records a synchronization event delivered to the strategy.
     pub fn record_sync(&self) {
         self.sync_events.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a buffer-drain request (trap arming bumped the gate epoch).
-    pub fn record_drain_request(&self) {
-        self.drain_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one local-buffer flush delivering `events` batched events.
-    pub fn record_batch_flush(&self, events: u64) {
-        self.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        self.batch_events_flushed
-            .fetch_add(events, Ordering::Relaxed);
-    }
-
-    /// Records a flush triggered by a thread's exit destructor.
-    pub fn record_thread_exit_flush(&self) {
-        self.thread_exit_flushes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total `OnCall` entries.
@@ -327,26 +286,6 @@ impl RuntimeStats {
     /// Total synchronization events observed.
     pub fn sync_events(&self) -> u64 {
         self.sync_events.load(Ordering::Relaxed)
-    }
-
-    /// Total buffer-drain requests issued by trap arming.
-    pub fn drain_requests(&self) -> u64 {
-        self.drain_requests.load(Ordering::Relaxed)
-    }
-
-    /// Total local-buffer flushes into the shared structures.
-    pub fn batch_flushes(&self) -> u64 {
-        self.batch_flushes.load(Ordering::Relaxed)
-    }
-
-    /// Total events delivered through batch flushes.
-    pub fn batch_events_flushed(&self) -> u64 {
-        self.batch_events_flushed.load(Ordering::Relaxed)
-    }
-
-    /// Total flushes performed by thread-exit destructors.
-    pub fn thread_exit_flushes(&self) -> u64 {
-        self.thread_exit_flushes.load(Ordering::Relaxed)
     }
 
     /// Delay injected by `context` so far (for the per-thread budget).
@@ -437,19 +376,6 @@ mod tests {
         s.record_sync();
         assert_eq!(s.traps_caught(), 1);
         assert_eq!(s.sync_events(), 2);
-    }
-
-    #[test]
-    fn batching_counters_accumulate() {
-        let s = RuntimeStats::new();
-        s.record_drain_request();
-        s.record_batch_flush(3);
-        s.record_batch_flush(5);
-        s.record_thread_exit_flush();
-        assert_eq!(s.drain_requests(), 1);
-        assert_eq!(s.batch_flushes(), 2);
-        assert_eq!(s.batch_events_flushed(), 8);
-        assert_eq!(s.thread_exit_flushes(), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! run (§3.4.6); the trap set additionally persists to a trap file so a
 //! second run can trap pairs on their first occurrence.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
@@ -21,7 +21,6 @@ use rand::{Rng, SeedableRng};
 use crate::access::Access;
 use crate::config::TsvdConfig;
 use crate::decay::DecayTable;
-use crate::gate::HotGate;
 use crate::hb_infer::{DelayRecord, HbInference};
 use crate::near_miss::{NearMissTracker, SitePair};
 use crate::phase::PhaseBuffer;
@@ -190,53 +189,6 @@ impl Strategy for Tsvd {
                 self.traps.remove_site(access.site);
             }
         }
-    }
-
-    fn supports_batching(&self) -> bool {
-        // Near-miss discovery, phase inference, and HB pruning all work on
-        // recorded timestamps; nothing delays during quiescence, so replay
-        // order-with-timestamps is as good as inline delivery.
-        true
-    }
-
-    fn on_batch(&self, events: &[Access], concurrent: &[bool]) {
-        // The runtime computed the phase flags in event order, before the
-        // shard-grouped near-miss pass below reorders delivery across
-        // objects.
-        if let Some(hb) = &self.hb {
-            for access in events {
-                for pair in hb.on_access(access.context, access.site, access.time_ns) {
-                    self.traps.remove(pair);
-                }
-            }
-        }
-
-        // Shard-grouped recording: each near-miss stripe is locked once per
-        // batch instead of once per event. Relative order of HB pruning and
-        // pair discovery *within one batch* shifts, which is harmless —
-        // near misses rediscover pairs continuously and HB prunes re-fire
-        // on later accesses, so the steady state is unchanged.
-        self.near_miss.record_batch(events, |index, pairs| {
-            if !concurrent[index] && self.phase_detection {
-                return;
-            }
-            for pair in pairs {
-                if self.hb.as_ref().is_some_and(|hb| hb.is_inferred(pair)) {
-                    continue;
-                }
-                if self.traps.add(pair) {
-                    self.decay.arm(pair.first);
-                    self.decay.arm(pair.second);
-                }
-            }
-        });
-        // No should_delay: by construction nothing was armed while these
-        // events were being buffered, and any pair armed *by* this replay
-        // takes effect for the very next inline access.
-    }
-
-    fn attach_gate(&self, gate: &Arc<HotGate>) {
-        self.traps.attach_gate(gate.clone());
     }
 
     fn on_violation(&self, pair: SitePair) {

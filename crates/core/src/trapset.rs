@@ -17,13 +17,11 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
 use crate::audit;
 use crate::epoch::EpochPtr;
-use crate::gate::HotGate;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
 
@@ -68,16 +66,12 @@ impl Snapshot {
 /// Thread-safe set of dangerous pairs with per-site membership counts.
 ///
 /// Readers are lock-free (epoch-pinned snapshot loads); writers serialize
-/// on an internal mutex and publish copy-on-write snapshots. When a
-/// [`HotGate`] is attached, the pair count is mirrored into the gate's
-/// activity word so the runtime's batched fast path shuts off the moment
-/// any pair arms.
+/// on an internal mutex and publish copy-on-write snapshots.
 #[derive(Default)]
 pub struct TrapSet {
     snapshot: EpochPtr<Snapshot>,
     writer: Mutex<()>,
     pair_count: AtomicUsize,
-    gate: OnceLock<Arc<HotGate>>,
 }
 
 impl TrapSet {
@@ -86,15 +80,9 @@ impl TrapSet {
         Self::default()
     }
 
-    /// Mirrors pair-count changes into `gate`'s activity word. May be
-    /// called at most once; later calls are ignored.
-    pub fn attach_gate(&self, gate: Arc<HotGate>) {
-        let _ = self.gate.set(gate);
-    }
-
     /// Clone-mutate-swap under the writer lock. `mutate` returns the op's
     /// result plus how many pairs were added (+) or removed (−); the count
-    /// delta is mirrored into the pair counter and the attached gate.
+    /// delta is applied to the pair counter.
     fn write<R>(&self, mutate: impl FnOnce(&mut Snapshot) -> (R, isize)) -> R {
         audit::note_lock();
         let _w = self.writer.lock();
@@ -102,19 +90,11 @@ impl TrapSet {
         let (result, delta) = mutate(&mut next);
         if delta != 0 {
             audit::note_shared_write();
-            match delta {
-                d if d > 0 => {
-                    self.pair_count.fetch_add(d as usize, Ordering::Release);
-                    if let Some(gate) = self.gate.get() {
-                        gate.add_activity(d as u64);
-                    }
-                }
-                d => {
-                    self.pair_count.fetch_sub((-d) as usize, Ordering::Release);
-                    if let Some(gate) = self.gate.get() {
-                        gate.sub_activity((-d) as u64);
-                    }
-                }
+            if delta > 0 {
+                self.pair_count.fetch_add(delta as usize, Ordering::Release);
+            } else {
+                self.pair_count
+                    .fetch_sub((-delta) as usize, Ordering::Release);
             }
         }
         audit::note_shared_write();
@@ -264,6 +244,8 @@ fn decref(refs: &mut HashMap<SiteId, usize>, site: SiteId) {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::site::SiteData;
 
@@ -369,18 +351,6 @@ mod tests {
         assert!(!t.contains(found), "found pairs never re-arm");
         assert!(!t.contains(SitePair::new(site(26), site(27))));
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn attached_gate_mirrors_pair_count() {
-        let t = TrapSet::new();
-        let gate = Arc::new(HotGate::new());
-        t.attach_gate(gate.clone());
-        t.add(SitePair::new(site(30), site(31)));
-        t.add(SitePair::new(site(30), site(32)));
-        assert_eq!(HotGate::activity(gate.load()), 2);
-        t.remove_site(site(30));
-        assert_eq!(HotGate::activity(gate.load()), 0);
     }
 
     /// Interleaving stress for the epoch swap: reader threads hammer the

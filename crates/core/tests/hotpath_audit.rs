@@ -1,77 +1,67 @@
-//! Proof that the batched zero-trap `OnCall` path performs zero lock
-//! acquisitions and zero shared-memory writes.
+//! The per-call cost of the zero-trap `OnCall` path, as exact counts.
 //!
 //! Every lock acquisition and shared write on the runtime's access paths is
 //! annotated with `audit::note_lock` / `audit::note_shared_write` (see
-//! `crates/core/src/audit.rs`). Under the `hotpath_audit` feature those
-//! notes bump thread-local counters; this test drives a quiescent batched
-//! runtime and asserts the counters stay at zero, with an inline-path
-//! control leg proving the counters do fire where sharing happens.
+//! `crates/core/src/audit.rs` for the counting rule). Under the
+//! `hotpath_audit` feature those notes bump thread-local counters. These
+//! tests drive warm runtimes with nothing armed and assert the exact number
+//! of locks and shared writes per call, so any new lock or shared write on
+//! the path fails here until DESIGN.md "Round 3" and this budget are
+//! updated together.
 
 #![cfg(feature = "hotpath_audit")]
 
+use tsvd_core::clock::ms_to_ns;
 use tsvd_core::stats::RuntimeStats;
 use tsvd_core::{audit, ObjId, OpKind, Runtime, TsvdConfig};
 
-#[test]
-fn zero_trap_batched_path_performs_no_locks_and_no_shared_writes() {
-    let mut cfg = TsvdConfig::for_testing();
-    cfg.batch_capacity = 4_096;
-    let rt = Runtime::tsvd(cfg);
-    assert!(rt.is_batching());
+const CALLS: u64 = 1_000;
+
+/// Locks and shared writes per call over `CALLS` warm zero-trap calls from
+/// one thread, spread over 16 objects.
+fn per_call_budget(rt: &Runtime) -> (u64, u64) {
     let site = tsvd_core::site!();
-
-    // Warm-up: clock origin, context TLS, and the thread's buffer binding
-    // are one-time setup costs, not per-call hot-path work.
-    rt.on_call(ObjId(1), site, "x.write", OpKind::Write);
-
+    // Warm-up: the clock origin, the thread's context id, the site cache
+    // and coverage cell, and each object's near-miss history are one-time
+    // setup, not per-call work.
+    for i in 0..16 {
+        rt.on_call(ObjId(1 + i), site, "x.write", OpKind::Write);
+    }
     audit::reset();
-    for i in 0..1_000u64 {
+    for i in 0..CALLS {
         rt.on_call(ObjId(1 + (i % 16)), site, "x.write", OpKind::Write);
     }
-    assert_eq!(
-        rt.thread_buffered_events(),
-        1_001,
-        "everything must still be buffered (no flush happened mid-loop)"
-    );
-    assert_eq!(
-        audit::lock_acquisitions(),
-        0,
-        "zero-trap batched path must acquire no locks"
-    );
-    assert_eq!(
-        audit::shared_writes(),
-        0,
-        "zero-trap batched path must perform no shared-memory writes"
-    );
+    let (locks, writes) = (audit::lock_acquisitions(), audit::shared_writes());
+    assert_eq!(locks % CALLS, 0, "locks vary per call: {locks}");
+    assert_eq!(writes % CALLS, 0, "shared writes vary per call: {writes}");
+    (locks / CALLS, writes / CALLS)
+}
 
-    // Control: the flush itself *does* touch shared structures, so the
-    // annotations are demonstrably live in this build.
-    rt.flush_thread_events();
-    assert!(
-        audit::lock_acquisitions() > 0,
-        "flushing must be visible to the audit"
-    );
-    assert!(audit::shared_writes() > 0);
+/// Test config with nothing armed and a delay so long that no scheduling
+/// pause can look like an HB-inference gap (which takes one more lock).
+fn config() -> TsvdConfig {
+    let mut cfg = TsvdConfig::for_testing();
+    cfg.delay_ns = ms_to_ns(60_000);
+    cfg
 }
 
 #[test]
-fn inline_path_is_visible_to_the_audit() {
-    // Without batching every call takes the inline path, which by design
-    // uses locks (near-miss shards, HB stripes) and shared writes
-    // (counters, phase ring). The audit must see them.
-    let rt = Runtime::tsvd(TsvdConfig::for_testing());
-    assert!(!rt.is_batching());
-    let site = tsvd_core::site!();
-    audit::reset();
-    for i in 0..10 {
-        rt.on_call(ObjId(i), site, "x.write", OpKind::Write);
-    }
-    assert!(
-        audit::lock_acquisitions() >= 10,
-        "inline path locks per call"
-    );
-    assert!(audit::shared_writes() >= 10);
+fn zero_trap_inline_call_has_an_exact_per_call_budget() {
+    // Noop: no locks. Four shared writes: the phase ring's cursor
+    // `fetch_add` and slot store, the `on_calls` counter, and the site's
+    // coverage cell `hits` (`concurrent_hits` stays untouched: one thread
+    // is one context, so the phase is sequential). The trap table's
+    // live-trap count and the trap set's pair count are loads only.
+    let rt = Runtime::noop(config());
+    assert_eq!(per_call_budget(&rt), (0, 4), "noop (locks, shared writes)");
+    assert_eq!(rt.stats().on_calls(), 16 + CALLS);
+
+    // TSVD adds two locks and no lock-free shared write: the HB inference
+    // stripe of this context (its last-access time) and the near-miss
+    // stripe of the object (its history).
+    let rt = Runtime::tsvd(config());
+    assert_eq!(per_call_budget(&rt), (2, 4), "tsvd (locks, shared writes)");
+    assert_eq!(rt.stats().delays_injected(), 0, "nothing was armed");
 }
 
 #[test]
