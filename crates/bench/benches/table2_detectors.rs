@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tsvd_core::TsvdConfig;
-use tsvd_harness::runner::{run_suite, DetectorKind, RunOptions};
+use tsvd_fleet::runner::{run_suite, DetectorKind, RunOptions};
 use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
 fn bench_suite(c: &mut Criterion) {

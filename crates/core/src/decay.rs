@@ -8,25 +8,23 @@
 //! leaves the trap set. A decay factor of 0 disables decay, the pathological
 //! configuration of Fig. 9 (g) that can blow overhead up by 66×.
 //!
-//! `probability` is consulted on every access at an armed site, so the
-//! table is an epoch-pinned immutable snapshot (see [`crate::epoch`]):
-//! readers never lock, writers (arm, decay, remove — rare) serialize on a
-//! mutex and publish copy-on-write snapshots. An atomic armed-count keeps
-//! the empty table — no pair armed yet — free of even the epoch pin.
+//! `probability` is consulted on every access at an armed site. The table
+//! is small and read-mostly, so it sits behind one `RwLock`: readers take
+//! the read lock, writers (arm, decay, remove) take the write lock and
+//! mutate in place. An atomic armed-count keeps the empty table — no pair
+//! armed yet — free of even the read lock.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 use crate::audit;
-use crate::epoch::EpochPtr;
 use crate::site::SiteId;
 
 /// Per-location delay probabilities with multiplicative decay.
 pub struct DecayTable {
-    snapshot: EpochPtr<HashMap<SiteId, f64>>,
-    writer: Mutex<()>,
+    probs: RwLock<HashMap<SiteId, f64>>,
     armed: AtomicUsize,
     factor: f64,
     floor: f64,
@@ -36,25 +34,21 @@ impl DecayTable {
     /// Creates a table with the given decay factor and removal floor.
     pub fn new(factor: f64, floor: f64) -> Self {
         DecayTable {
-            snapshot: EpochPtr::new(HashMap::new()),
-            writer: Mutex::new(()),
+            probs: RwLock::new(HashMap::new()),
             armed: AtomicUsize::new(0),
             factor: factor.clamp(0.0, 1.0),
             floor: floor.clamp(0.0, 1.0),
         }
     }
 
-    /// Clone-mutate-swap under the writer lock, then republish the armed
-    /// count from the new snapshot's size.
+    /// Mutates the table in place under the write lock, then republishes
+    /// the armed count from its size.
     fn write<R>(&self, mutate: impl FnOnce(&mut HashMap<SiteId, f64>) -> R) -> R {
         audit::note_lock();
-        let _w = self.writer.lock();
-        let mut next = self.snapshot.read(Clone::clone);
-        let result = mutate(&mut next);
+        let mut probs = self.probs.write();
+        let result = mutate(&mut probs);
         audit::note_shared_write();
-        self.armed.store(next.len(), Ordering::Release);
-        audit::note_shared_write();
-        self.snapshot.swap(next);
+        self.armed.store(probs.len(), Ordering::Release);
         result
     }
 
@@ -66,23 +60,13 @@ impl DecayTable {
         });
     }
 
-    /// Arms every site in `sites` at probability 1 with a single snapshot
-    /// publish — the bulk path for trap file imports.
-    pub fn arm_many(&self, sites: impl IntoIterator<Item = SiteId>) {
-        self.write(|probs| {
-            for site in sites {
-                probs.insert(site, 1.0);
-            }
-        });
-    }
-
     /// Returns the current delay probability of `site` (0 if unknown).
     pub fn probability(&self, site: SiteId) -> f64 {
         if self.armed.load(Ordering::Acquire) == 0 {
             return 0.0;
         }
-        self.snapshot
-            .read(|probs| probs.get(&site).copied().unwrap_or(0.0))
+        audit::note_lock();
+        self.probs.read().get(&site).copied().unwrap_or(0.0)
     }
 
     /// Applies one decay step to `site` after a fruitless delay.
@@ -141,6 +125,13 @@ mod tests {
         let t = DecayTable::new(0.5, 0.05);
         t.arm(site(1));
         assert_eq!(t.probability(site(1)), 1.0);
+
+        let t = DecayTable::new(0.5, 0.05);
+        for n in [10, 11, 12] {
+            t.arm(site(n));
+        }
+        assert_eq!(t.armed_count(), 3);
+        assert_eq!(t.probability(site(11)), 1.0);
     }
 
     #[test]
@@ -194,14 +185,6 @@ mod tests {
         t.remove(site(1));
         assert_eq!(t.probability(site(1)), 0.0);
         assert_eq!(t.armed_count(), 0);
-    }
-
-    #[test]
-    fn arm_many_is_one_publish() {
-        let t = DecayTable::new(0.5, 0.05);
-        t.arm_many([site(10), site(11), site(12)]);
-        assert_eq!(t.armed_count(), 3);
-        assert_eq!(t.probability(site(11)), 1.0);
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub mod clock;
 pub mod config;
 pub mod context;
 pub mod decay;
-pub mod epoch;
 pub mod hb_infer;
 pub mod near_miss;
 pub mod phase;

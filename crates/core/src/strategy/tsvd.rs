@@ -203,17 +203,14 @@ impl Strategy for Tsvd {
     fn import_trap_file(&self, data: &TrapFileData) {
         // Highest-confidence pairs first: under a finite import budget the
         // static analyzer's best-graded candidates get the delay budget.
-        // Bulk insertion publishes one trap-set snapshot and one decay-table
-        // snapshot no matter how many pairs the file carries.
         let candidates: Vec<SitePair> = data
             .arming_order()
             .into_iter()
             .filter_map(|index| data.pair_at(index))
             .collect();
-        let inserted = self.traps.add_many(&candidates, self.import_budget);
-        if !inserted.is_empty() {
-            self.decay
-                .arm_many(inserted.iter().flat_map(|p| [p.first, p.second]));
+        for pair in self.traps.add_many(&candidates, self.import_budget) {
+            self.decay.arm(pair.first);
+            self.decay.arm(pair.second);
         }
     }
 

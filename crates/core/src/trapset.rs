@@ -7,25 +7,22 @@
 //! `should_delay` eligible at that location.
 //!
 //! `contains_site` is consulted on every instrumented access once any pair
-//! is armed, so the set is kept as an immutable snapshot behind an
-//! [`EpochPtr`]: readers pin the epoch (one store to their own slot), load
-//! the pointer, and look up without any lock; writers (arming and pruning —
-//! rare) serialize on a mutex, clone the snapshot, mutate the clone, and
-//! swap it in, retiring the predecessor to the epoch collector. An atomic
-//! pair count still lets the empty set — a fresh run before any near miss —
-//! answer without even pinning.
+//! is armed. The set is small and read-mostly, so it sits behind one
+//! `RwLock`: readers take the read lock, writers (arming and pruning —
+//! rare) take the write lock and mutate in place. An atomic pair count lets
+//! the empty set — a fresh run before any near miss — answer without
+//! touching the lock.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 use crate::audit;
-use crate::epoch::EpochPtr;
 use crate::near_miss::SitePair;
 use crate::site::SiteId;
 
-#[derive(Default, Clone)]
+#[derive(Default)]
 struct Snapshot {
     pairs: HashSet<SitePair>,
     /// How many pairs each site participates in (for O(1) eligibility).
@@ -65,12 +62,10 @@ impl Snapshot {
 
 /// Thread-safe set of dangerous pairs with per-site membership counts.
 ///
-/// Readers are lock-free (epoch-pinned snapshot loads); writers serialize
-/// on an internal mutex and publish copy-on-write snapshots.
+/// Readers share a read lock; writers mutate in place under the write lock.
 #[derive(Default)]
 pub struct TrapSet {
-    snapshot: EpochPtr<Snapshot>,
-    writer: Mutex<()>,
+    snapshot: RwLock<Snapshot>,
     pair_count: AtomicUsize,
 }
 
@@ -80,14 +75,13 @@ impl TrapSet {
         Self::default()
     }
 
-    /// Clone-mutate-swap under the writer lock. `mutate` returns the op's
-    /// result plus how many pairs were added (+) or removed (−); the count
-    /// delta is applied to the pair counter.
+    /// Mutates the set in place under the write lock. `mutate` returns the
+    /// op's result plus how many pairs were added (+) or removed (−); the
+    /// count delta is applied to the pair counter.
     fn write<R>(&self, mutate: impl FnOnce(&mut Snapshot) -> (R, isize)) -> R {
         audit::note_lock();
-        let _w = self.writer.lock();
-        let mut next = self.snapshot.read(Clone::clone);
-        let (result, delta) = mutate(&mut next);
+        let mut snapshot = self.snapshot.write();
+        let (result, delta) = mutate(&mut snapshot);
         if delta != 0 {
             audit::note_shared_write();
             if delta > 0 {
@@ -97,9 +91,13 @@ impl TrapSet {
                     .fetch_sub((-delta) as usize, Ordering::Release);
             }
         }
-        audit::note_shared_write();
-        self.snapshot.swap(next);
         result
+    }
+
+    /// Runs `f` on the set under the read lock.
+    fn read<R>(&self, f: impl FnOnce(&Snapshot) -> R) -> R {
+        audit::note_lock();
+        f(&self.snapshot.read())
     }
 
     /// Adds `pair` unless it was already found buggy. Returns `true` if the
@@ -113,9 +111,8 @@ impl TrapSet {
 
     /// Adds every pair in `candidates` (in order) that is not already
     /// present or found buggy, stopping once the set holds `max_len` pairs.
-    /// Returns the pairs actually inserted. One snapshot clone and one
-    /// publish regardless of how many pairs arm — the bulk path for trap
-    /// file imports.
+    /// Returns the pairs actually inserted — the bulk path for trap file
+    /// imports, which enforces the import budget under one write lock.
     pub fn add_many(&self, candidates: &[SitePair], max_len: usize) -> Vec<SitePair> {
         self.write(|s| {
             let mut inserted = Vec::new();
@@ -172,8 +169,7 @@ impl TrapSet {
         if self.pair_count.load(Ordering::Acquire) == 0 {
             return false;
         }
-        self.snapshot
-            .read(|s| s.site_refs.get(&site).is_some_and(|&n| n > 0))
+        self.read(|s| s.site_refs.get(&site).is_some_and(|&n| n > 0))
     }
 
     /// Returns `true` if `pair` is currently in the set.
@@ -181,13 +177,13 @@ impl TrapSet {
         if self.pair_count.load(Ordering::Acquire) == 0 {
             return false;
         }
-        self.snapshot.read(|s| s.pairs.contains(&pair))
+        self.read(|s| s.pairs.contains(&pair))
     }
 
     /// Returns the partner locations of every pair containing `site`
     /// (excluding `site` itself unless it self-pairs).
     pub fn partners(&self, site: SiteId) -> Vec<SiteId> {
-        self.snapshot.read(|s| {
+        self.read(|s| {
             s.pairs
                 .iter()
                 .filter(|p| p.contains(site))
@@ -198,7 +194,7 @@ impl TrapSet {
 
     /// Snapshot of all pairs (for trap-file export).
     pub fn pairs(&self) -> Vec<SitePair> {
-        self.snapshot.read(|s| s.pairs.iter().copied().collect())
+        self.read(|s| s.pairs.iter().copied().collect())
     }
 
     /// Number of pairs currently in the set.
@@ -211,13 +207,13 @@ impl TrapSet {
         self.len() == 0
     }
 
-    /// Asserts the internal consistency of the *current* snapshot: the
+    /// Asserts the internal consistency of the current set: the
     /// site-reference counts must be exactly those derived from the pair
-    /// set. Readers racing a writer must only ever observe snapshots that
+    /// set. Readers racing a writer must only ever observe states that
     /// pass this check — a torn view would fail it.
     #[cfg(test)]
     fn assert_snapshot_consistent(&self) {
-        self.snapshot.read(|s| {
+        self.read(|s| {
             let mut derived: HashMap<SiteId, usize> = HashMap::new();
             for p in &s.pairs {
                 *derived.entry(p.first).or_insert(0) += 1;
@@ -353,13 +349,13 @@ mod tests {
         assert_eq!(t.len(), 2);
     }
 
-    /// Interleaving stress for the epoch swap: reader threads hammer the
-    /// lock-free read path while a writer churns arms and prunes. Every
-    /// observed snapshot must be internally consistent (site_refs derived
-    /// exactly from pairs), and an invariant pair that is never removed
-    /// must be visible in every snapshot. Catches torn reads, premature
-    /// reclamation (use-after-free would crash or desync), and lost
-    /// updates from the copy-on-write protocol.
+    /// Interleaving stress for the lock-protected set: reader threads
+    /// hammer the read-locked paths while a writer churns arms and prunes
+    /// in place. Every state a reader observes must be internally
+    /// consistent (site_refs derived exactly from pairs), and an invariant
+    /// pair that is never removed must be visible in every read. Catches a
+    /// read path that slips outside the lock, a multi-step update that
+    /// releases the lock half-way, and lost pair-count updates.
     #[test]
     fn epoch_swap_interleaving_stress() {
         let t = Arc::new(TrapSet::new());

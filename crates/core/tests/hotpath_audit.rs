@@ -1,24 +1,26 @@
-//! The per-call cost of the zero-trap `OnCall` path, as exact counts.
+//! The per-call cost of the `OnCall` path, as exact counts.
 //!
 //! Every lock acquisition and shared write on the runtime's access paths is
 //! annotated with `audit::note_lock` / `audit::note_shared_write` (see
 //! `crates/core/src/audit.rs` for the counting rule). Under the
 //! `hotpath_audit` feature those notes bump thread-local counters. These
-//! tests drive warm runtimes with nothing armed and assert the exact number
-//! of locks and shared writes per call, so any new lock or shared write on
-//! the path fails here until DESIGN.md "Round 3" and this budget are
-//! updated together.
+//! tests drive warm runtimes — with nothing armed, and with one pair armed
+//! away from the called site — and assert the exact number of locks and
+//! shared writes per call, so any new lock or shared write on the path
+//! fails here until DESIGN.md "Round 3" and this budget are updated
+//! together.
 
 #![cfg(feature = "hotpath_audit")]
 
 use tsvd_core::clock::ms_to_ns;
+use tsvd_core::near_miss::SitePair;
 use tsvd_core::stats::RuntimeStats;
-use tsvd_core::{audit, ObjId, OpKind, Runtime, TsvdConfig};
+use tsvd_core::{audit, ObjId, OpKind, Runtime, TrapFileData, TsvdConfig};
 
 const CALLS: u64 = 1_000;
 
-/// Locks and shared writes per call over `CALLS` warm zero-trap calls from
-/// one thread, spread over 16 objects.
+/// Locks and shared writes per call over `CALLS` warm calls from one
+/// thread at one site, spread over 16 objects.
 fn per_call_budget(rt: &Runtime) -> (u64, u64) {
     let site = tsvd_core::site!();
     // Warm-up: the clock origin, the thread's context id, the site cache
@@ -62,6 +64,28 @@ fn zero_trap_inline_call_has_an_exact_per_call_budget() {
     let rt = Runtime::tsvd(config());
     assert_eq!(per_call_budget(&rt), (2, 4), "tsvd (locks, shared writes)");
     assert_eq!(rt.stats().delays_injected(), 0, "nothing was armed");
+}
+
+#[test]
+fn armed_set_inline_call_has_an_exact_per_call_budget() {
+    // One pair armed at sites A and B; every call is at a third site C
+    // (the one inside `per_call_budget`), so the trap set is non-empty but
+    // C is never eligible for a delay.
+    let a = tsvd_core::site!();
+    let b = tsvd_core::site!();
+    let rt = Runtime::tsvd(config());
+    rt.import_trap_file(&TrapFileData::from_pairs(&[SitePair::new(a, b)]));
+
+    // Three locks: the HB inference stripe and the near-miss stripe, as
+    // with nothing armed, plus the trap set's read lock in `contains_site`
+    // (the non-zero pair count sends C past the empty-set fast path). The
+    // decay table is not read: C is in no pair. The four shared writes are
+    // the zero-trap ones: the phase ring's cursor and slot, the `on_calls`
+    // counter and C's coverage cell.
+    assert_eq!(per_call_budget(&rt), (3, 4), "tsvd (locks, shared writes)");
+    assert_eq!(rt.stats().delays_injected(), 0, "C is in no pair");
+    let exported = rt.export_trap_file().expect("tsvd exports its trap set");
+    assert_eq!(exported.pairs.len(), 1, "the pair stays armed throughout");
 }
 
 #[test]

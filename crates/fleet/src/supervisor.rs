@@ -1,7 +1,7 @@
 //! The fleet daemon: supervised multi-process suite execution.
 //!
 //! One event loop owns all scheduling state; accept/reader/tick threads
-//! only funnel [`Event`]s into it, so every decision is serialized and
+//! only funnel `Event`s into it, so every decision is serialized and
 //! every decision is written to the [`crate::ledger`] *before* it takes
 //! effect (write-ahead). Supervision duties:
 //!

@@ -17,7 +17,7 @@ use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
 use crate::experiments::ExpOpts;
 use crate::report::{pct, Table};
-use crate::runner::DetectorKind;
+use tsvd_fleet::runner::DetectorKind;
 
 /// Runs the coverage report (single passive pass over the suite).
 pub fn run(opts: &ExpOpts) -> Vec<Table> {

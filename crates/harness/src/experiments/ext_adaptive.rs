@@ -12,7 +12,7 @@ use tsvd_workloads::Module;
 
 use crate::experiments::ExpOpts;
 use crate::report::Table;
-use crate::runner::{run_suite, DetectorKind, RunOptions};
+use tsvd_fleet::runner::{run_suite, DetectorKind, RunOptions};
 
 fn corpus(n: usize, seed: u64) -> Vec<Module> {
     (0..n)

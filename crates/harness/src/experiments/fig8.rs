@@ -8,7 +8,7 @@ use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
 use crate::experiments::ExpOpts;
 use crate::report::Table;
-use crate::runner::{run_suite, DetectorKind};
+use tsvd_fleet::runner::{run_suite, DetectorKind};
 
 /// Runs the Figure 8 accumulation experiment. `opts.runs` controls the
 /// number of runs (the paper uses 50).

@@ -19,7 +19,7 @@ use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
 use crate::experiments::ExpOpts;
 use crate::report::Table;
-use crate::runner::{run_suite, BugKey, DetectorKind};
+use tsvd_fleet::runner::{run_suite, BugKey, DetectorKind};
 
 /// Runs the false-negative classification.
 pub fn run(opts: &ExpOpts) -> Vec<Table> {

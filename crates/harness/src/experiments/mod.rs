@@ -17,7 +17,7 @@ pub mod validate;
 
 use tsvd_core::TsvdConfig;
 
-use crate::runner::RunOptions;
+use tsvd_fleet::runner::RunOptions;
 
 /// Shared experiment options (overridable from the `repro` CLI).
 #[derive(Debug, Clone)]

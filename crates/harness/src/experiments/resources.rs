@@ -11,7 +11,7 @@ use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
 use crate::experiments::ExpOpts;
 use crate::report::Table;
-use crate::runner::{run_suite, DetectorKind};
+use tsvd_fleet::runner::{run_suite, DetectorKind};
 
 /// Runs the resource-consumption report.
 pub fn run(opts: &ExpOpts) -> Vec<Table> {

@@ -14,7 +14,7 @@ use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
 use crate::experiments::ExpOpts;
 use crate::report::{pct, Table};
-use crate::runner::{run_module_once, DetectorKind};
+use tsvd_fleet::runner::{run_module_once, DetectorKind};
 
 /// Per-suite aggregates for the Table 1 statistics.
 #[derive(Default)]

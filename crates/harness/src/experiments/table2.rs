@@ -11,7 +11,7 @@ use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
 use crate::experiments::ExpOpts;
 use crate::report::{overhead, Table};
-use crate::runner::{
+use tsvd_fleet::runner::{
     baseline_wall_ns, check_no_false_positives, overhead_pct, run_suite, DetectorKind,
 };
 

@@ -9,7 +9,7 @@ use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
 use crate::experiments::ExpOpts;
 use crate::report::{overhead, Table};
-use crate::runner::{baseline_wall_ns, overhead_pct, run_suite, DetectorKind};
+use tsvd_fleet::runner::{baseline_wall_ns, overhead_pct, run_suite, DetectorKind};
 
 /// Runs the Table 3 ablation.
 pub fn run(opts: &ExpOpts) -> Vec<Table> {

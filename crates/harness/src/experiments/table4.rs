@@ -9,7 +9,7 @@ use tsvd_workloads::opensource::projects;
 
 use crate::experiments::ExpOpts;
 use crate::report::{overhead, Table};
-use crate::runner::{run_module_once, DetectorKind};
+use tsvd_fleet::runner::{run_module_once, DetectorKind};
 
 /// Runs the Table 4 open-source evaluation.
 pub fn run(opts: &ExpOpts) -> Vec<Table> {

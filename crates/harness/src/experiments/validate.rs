@@ -17,7 +17,7 @@ use tsvd_workloads::suite::{build_suite, SuiteConfig};
 
 use crate::experiments::ExpOpts;
 use crate::report::{pct, Table};
-use crate::runner::{run_suite, DetectorKind};
+use tsvd_fleet::runner::{run_suite, DetectorKind};
 
 /// Runs the validation experiment.
 pub fn run(opts: &ExpOpts) -> Vec<Table> {

@@ -19,10 +19,4 @@ pub mod chaos;
 pub mod experiments;
 pub mod report;
 
-// The runner moved to `tsvd-fleet` (fleet workers execute modules through
-// the same code path); re-exported here so `tsvd::harness::runner::...`
-// keeps working for every existing caller.
-pub use tsvd_fleet::runner;
-
 pub use chaos::{run_chaos, ChaosOptions, ChaosReport};
-pub use runner::{DetectorKind, ModuleOutcome, ModuleRun, RunOptions, SuiteOutcome};

@@ -188,7 +188,7 @@ fn dynamic_detector_needs_the_second_run_the_priors_remove() {
 
 #[test]
 fn run_options_static_priors_reach_module_runtimes() {
-    use tsvd::harness::runner::{run_module_once, DetectorKind, RunOptions};
+    use tsvd::fleet::runner::{run_module_once, DetectorKind, RunOptions};
     use tsvd::workloads::module::{Expectation, Module};
 
     let priors = static_priors();

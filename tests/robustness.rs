@@ -1,7 +1,7 @@
 //! Robustness: the no-false-positive guarantee holds across arbitrary
 //! seeds and scales, and detection results stay sane under repetition.
 
-use tsvd::harness::runner::{check_no_false_positives, run_suite, DetectorKind, RunOptions};
+use tsvd::fleet::runner::{check_no_false_positives, run_suite, DetectorKind, RunOptions};
 use tsvd::prelude::*;
 use tsvd::workloads::suite::{build_suite, SuiteConfig};
 
@@ -55,7 +55,7 @@ fn repeated_single_module_runs_are_stable() {
     let m = tsvd::workloads::scenarios::paper_examples::dict_racy(8);
     let o = options(0);
     for _ in 0..6 {
-        let rt = tsvd::harness::runner::run_module_once(&m, DetectorKind::Tsvd, &o, None).runtime;
+        let rt = tsvd::fleet::runner::run_module_once(&m, DetectorKind::Tsvd, &o, None).runtime;
         assert!(rt.reports().unique_bugs() <= 2);
         for v in rt.reports().violations() {
             assert!(v.trapped.op_name.starts_with("Dictionary."));

@@ -1,7 +1,7 @@
 //! Suite-level integration: detectors against the generated corpus and the
 //! Table 4 open-source analogs.
 
-use tsvd::harness::runner::{
+use tsvd::fleet::runner::{
     check_no_false_positives, run_module_once, run_suite, DetectorKind, RunOptions,
 };
 use tsvd::prelude::*;
